@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import socket
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .field import Field, is_prime
 from .hardness import brute_force_solve, estimate, make_instance
-from .matrix import PermutationMatrix
 from .metrics import (
     REPORTED_PROFILES,
     discrepancies,
@@ -41,7 +41,7 @@ from .metrics import (
     measured_sizes,
     op_count_report,
 )
-from .network import NetworkConfig, build_network
+from .network import NetworkConfig
 from .scheme import (
     keygen,
     parse_public_key,
@@ -284,7 +284,7 @@ def cmd_attack(args) -> int:
         s.exponent == planted.exponent and s.perm == planted.perm for s in solutions
     )
     _say(args, f"planted: a={planted.exponent} perm={list(planted.perm.perm)}")
-    _say(args, f"search space: (p-1) * n! = {(args.p - 1)} * {_factorial(args.n)} candidates")
+    _say(args, f"search space: (p-1) * n! = {(args.p - 1)} * {math.factorial(args.n)} candidates")
     for s in solutions:
         marker = "  <- planted" if s.exponent == planted.exponent and s.perm == planted.perm else ""
         _say(args, f"solution: a={s.exponent} perm={list(s.perm.perm)}{marker}")
@@ -301,13 +301,6 @@ def cmd_attack(args) -> int:
         },
     )
     return EXIT_OK
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def cmd_bench(args) -> int:

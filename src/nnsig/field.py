@@ -146,9 +146,6 @@ class Field:
             c.muls += 1
         return a * b % self.p
 
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError on 0."""
         a %= self.p
@@ -159,10 +156,7 @@ class Field:
             c.invs += 1
         return pow(a, self.p - 2, self.p)
 
-    def pow(self, a: int, e: int) -> int:
-        return pow(a % self.p, e, self.p)
-
-    # --- sampling and validation -------------------------------------------
+    # --- sampling ----------------------------------------------------------
 
     def sample(self, rng, nonzero: bool = False) -> int:
         """Uniform element from [0, p), or [1, p) when nonzero is set."""
@@ -173,8 +167,3 @@ class Field:
         lo = 1 if nonzero else 0
         p = self.p
         return tuple(rng.randrange(lo, p) for _ in range(length))
-
-    def validate_element(self, x: int) -> int:
-        if not isinstance(x, int) or not 0 <= x < self.p:
-            raise ParameterError(f"{x!r} is not a field element mod {self.p}")
-        return x

@@ -60,10 +60,6 @@ def identity(field: Field, n: int) -> MatrixZp:
     return MatrixZp(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def zeros(field: Field, n_rows: int, n_cols: int) -> MatrixZp:
-    return MatrixZp(field, tuple((0,) * n_cols for _ in range(n_rows)))
-
-
 def diag_from_vector(field: Field, v) -> MatrixZp:
     """Diagonal matrix with v on the diagonal."""
     n = len(v)
@@ -123,35 +119,60 @@ def mat_add(a: MatrixZp, b: MatrixZp) -> MatrixZp:
     return MatrixZp(a.field, out)
 
 
-def mat_sub(a: MatrixZp, b: MatrixZp) -> MatrixZp:
-    _same_field(a, b)
-    if a.n_rows != b.n_rows or a.n_cols != b.n_cols:
-        raise DimensionMismatch("matrix subtraction needs equal shapes")
-    p = a.field.p
-    out = tuple(
-        tuple((x - y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)
-    )
-    c = active_counter()
-    if c is not None:
-        c.subs += a.n_rows * a.n_cols
-    return MatrixZp(a.field, out)
+class SquaringTable:
+    """The squares ``a, a^2, a^4, ...`` of one square matrix, grown on demand.
+
+    Any power of the base is then the product of the squares picked by the
+    set bits of its exponent, so a table kept across calls pays each squaring
+    once.  A table may be shared between threads: growth builds a new tuple
+    and publishes it with one assignment, so a race at worst squares twice.
+    """
+
+    def __init__(self, base: MatrixZp) -> None:
+        if base.n_rows != base.n_cols:
+            raise DimensionMismatch("only square matrices have powers")
+        self.base = base
+        self._squares = (base,)
+
+    def _factors(self, e: int) -> list:
+        """The squares whose product is base^e, one per set bit of e."""
+        if e < 0:
+            raise ValueError("negative exponents are not defined here; invert first")
+        squares = self._squares
+        if len(squares) < e.bit_length():
+            grown = list(squares)
+            while len(grown) < e.bit_length():
+                grown.append(mat_mul(grown[-1], grown[-1]))
+            squares = tuple(grown)
+            self._squares = squares
+        return [squares[k] for k in range(e.bit_length()) if e >> k & 1]
+
+    def mat_pow(self, e: int) -> MatrixZp:
+        """base^e; e must be a non-negative integer."""
+        factors = self._factors(e)
+        if not factors:
+            return identity(self.base.field, self.base.n_rows)
+        result = factors[0]
+        for square in factors[1:]:
+            result = mat_mul(result, square)
+        return result
+
+    def vec_pow(self, v, e: int) -> tuple:
+        """Row-vector product v*base^e as a chain of vector-matrix products."""
+        if len(v) != self.base.n_rows:
+            raise DimensionMismatch(
+                f"length-{len(v)} vector times {self.base.n_rows}x{self.base.n_cols} matrix"
+            )
+        p = self.base.field.p
+        out = tuple(x % p for x in v)
+        for square in self._factors(e):
+            out = vec_mat(out, square)
+        return out
 
 
 def mat_pow(a: MatrixZp, e: int) -> MatrixZp:
     """Square-and-multiply; e must be a non-negative integer."""
-    if a.n_rows != a.n_cols:
-        raise DimensionMismatch("only square matrices have powers")
-    if e < 0:
-        raise ValueError("negative exponents are not defined here; invert first")
-    result = identity(a.field, a.n_rows)
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return result
+    return SquaringTable(a).mat_pow(e)
 
 
 def transpose(a: MatrixZp) -> MatrixZp:
@@ -278,14 +299,6 @@ def vec_sub(field: Field, u, v) -> tuple:
     if c is not None:
         c.subs += len(u)
     return tuple((x - y) % p for x, y in zip(u, v))
-
-
-def vec_scale(field: Field, k: int, v) -> tuple:
-    p = field.p
-    c = active_counter()
-    if c is not None:
-        c.muls += len(v)
-    return tuple(k * x % p for x in v)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from .errors import DimensionMismatch, ParameterError, SingularWeightsError
 from .field import Field, active_counter
@@ -50,7 +50,6 @@ class SynapticWeights:
     """Binarized weight matrix; every entry is 1 or p-1."""
 
     w: MatrixZp
-    real_source: Optional[tuple] = dc_field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -100,7 +99,7 @@ def binarize(real_rows, field: Field) -> SynapticWeights:
         raise DimensionMismatch("weight matrix must be square")
     if det(w) == 0:
         raise SingularWeightsError("binarized weights are singular mod p")
-    return SynapticWeights(w=w, real_source=tuple(tuple(float(x) for x in row) for row in real_rows))
+    return SynapticWeights(w=w)
 
 
 def sample_weights(n: int, field: Field, rng, max_tries: int = WEIGHT_RETRY_CAP) -> SynapticWeights:

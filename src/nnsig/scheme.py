@@ -4,8 +4,10 @@ Key generation unrolls a seeded binary-weight network into (w_x, w_theta),
 then masks both with secret row permutations and matrix powers:
 ``Wbar_x = L_x @ w_x^a`` and ``Wbar_theta = L_theta @ w_theta^b``.  Signing
 embeds the message digest in the tail of two preimage vectors and pulls them
-back through ``w_x^{-a} @ L_x^{-1}``; verification pushes the signature
-through the public map and checks the digest tails.
+back through ``Wbar_x^{-1} = w_x^{-a} @ L_x^{-1}``, inverted once per key;
+verification pushes the signature through only the rows of the public map
+that hold the digest tails and compares them.  Both sides keep the bias
+``Wbar_theta @ theta`` of the last theta they saw.
 
 Verification adds the bias term after applying the public map — the variant
 that subtracts it first (kept behind ``literal_form=True``) does not invert
@@ -110,6 +112,7 @@ class PublicKey:
     l: int
     w_x_bar: MatrixZp
     w_theta_bar: MatrixZp
+    _bias: Optional[tuple] = dc_field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,7 @@ class SecretKey:
     _maps: Optional[object] = dc_field(default=None, compare=False, repr=False)
     _public: Optional[PublicKey] = dc_field(default=None, compare=False, repr=False)
     _sign_mat: Optional[MatrixZp] = dc_field(default=None, compare=False, repr=False)
+    _bias: Optional[tuple] = dc_field(default=None, compare=False, repr=False)
 
     def unrolled_maps(self):
         if self._maps is None:
@@ -154,10 +158,31 @@ class SecretKey:
         return self._public
 
     def signing_matrix(self) -> MatrixZp:
-        """w_x^{-a}: invert once, then exponentiate; cached across signatures."""
+        """Wbar_x^{-1} = w_x^{-a} @ L_x^{-1}; cached across signatures.
+
+        It is the inverse of a public matrix: anyone holding the public key
+        can compute it (see the README caveats).
+        """
         if self._sign_mat is None:
-            self._sign_mat = mat_pow(mat_inv(self.unrolled_maps().w_x), self.a)
+            self._sign_mat = mat_inv(self.public_key().w_x_bar)
         return self._sign_mat
+
+
+def _theta_bias(owner, w_theta_bar: MatrixZp, theta) -> tuple:
+    """Wbar_theta @ theta, memoised for the last theta on owner.
+
+    The memo is one ``(theta, bias)`` tuple, replaced whole, so a race between
+    threads costs a recomputation and never pairs a theta with another's bias.
+    Keying on ``tuple(theta)`` keeps a caller's later edit of a list theta from
+    hitting a stale entry.
+    """
+    key = tuple(theta)
+    memo = owner._bias
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    bias = mat_vec(w_theta_bar, key)
+    object.__setattr__(owner, "_bias", (key, bias))
+    return bias
 
 
 def _fresh_rng() -> random.Random:
@@ -242,11 +267,10 @@ def sign(
     r1 = field.sample_vector(rng, l)
     x0 = r0 + h0
     x1 = r1 + h1
-    bias = mat_vec(sk.public_key().w_theta_bar, theta)
+    bias = _theta_bias(sk, sk.public_key().w_theta_bar, theta)
     s_mat = sk.signing_matrix()
-    unmask = sk.l_x.inverse()
-    sigma0 = mat_vec(s_mat, unmask.apply(vec_sub(field, x0, bias)))
-    sigma1 = mat_vec(s_mat, unmask.apply(vec_sub(field, x1, bias)))
+    sigma0 = mat_vec(s_mat, vec_sub(field, x0, bias))
+    sigma1 = mat_vec(s_mat, vec_sub(field, x1, bias))
     return Signature(sigma0=sigma0, sigma1=sigma1)
 
 
@@ -265,16 +289,18 @@ def verify(
         raise DimensionMismatch("signature vector length does not match n")
     h = hash_to_field(message, n, field)
     h0, h1 = h[:l], h[l:]
-    bias = mat_vec(pk.w_theta_bar, theta)
+    bias = _theta_bias(pk, pk.w_theta_bar, theta)
 
-    def reconstruct(sigma):
+    def reconstruct(sigma, first_row):
+        """Rows first_row.. of the public map applied to sigma, with the bias."""
+        rows = MatrixZp(field, pk.w_x_bar.rows[first_row:])
         if literal_form:
-            return mat_vec(pk.w_x_bar, vec_sub(field, sigma, bias))
-        return vec_add(field, mat_vec(pk.w_x_bar, sigma), bias)
+            return mat_vec(rows, vec_sub(field, sigma, bias))
+        return vec_add(field, mat_vec(rows, sigma), bias[first_row:])
 
-    if reconstruct(signature.sigma0)[n - l :] != h0:
+    if reconstruct(signature.sigma0, n - l) != h0:
         return False
-    return reconstruct(signature.sigma1)[l:] == h1
+    return reconstruct(signature.sigma1, l) == h1
 
 
 # --- serialization ----------------------------------------------------------

@@ -7,6 +7,12 @@ compute the mask ``r = hash_to_field(encode(W_s))`` and publish
 ``P = Q @ (W_s^{alpha_1} + ... + W_s^{alpha_u}) + r``; the synchronized bias
 is ``theta = P_own + P_peer``, identical on both ends.
 
+Powers come from squaring tables (``matrix.SquaringTable``).  The table of W
+lives on the ``SyncConfig`` and serves every session run on it, so a DH share
+costs only its multiplies.  ``P`` is computed as ``r + sum_i Q @ W_s^{alpha_i}``:
+each term is a chain of vector-matrix products over one table of ``W_s``,
+never a full matrix power.
+
 Wire frames are ``u8 tag | u32le length | payload`` with tag 0x01 carrying a
 matrix (the DH share) and 0x02 a vector (the public share).  Sessions are
 strict state machines — any out-of-order call raises InvalidStateError and
@@ -16,6 +22,7 @@ leaves the session untouched.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 import struct
 from dataclasses import dataclass, field as dc_field
@@ -32,17 +39,16 @@ from .errors import (
 from .field import Field
 from .matrix import (
     MatrixZp,
+    SquaringTable,
     decode_matrix,
     decode_vector,
     det,
     encode_matrix,
     encode_vector,
-    mat_add,
     mat_pow,
     read_matrix,
     read_vector,
     vec_add,
-    vec_mat,
 )
 from .network import SynapticWeights
 from .scheme import hash_to_field
@@ -150,6 +156,11 @@ class SyncConfig:
     def n(self) -> int:
         return self.weights.n
 
+    @functools.cached_property
+    def base_powers(self) -> SquaringTable:
+        """Squaring table of W, shared by every session on this setup."""
+        return SquaringTable(self.weights.w)
+
 
 @dataclass
 class SyncSession:
@@ -194,7 +205,7 @@ class SyncSession:
     def dh_message(self) -> DhMatrixMessage:
         """Our DH share W^d."""
         self._expect(SessionState.INIT, "dh_message")
-        share = mat_pow(self.config.weights.w, self.dh_exponent)
+        share = self.config.base_powers.mat_pow(self.dh_exponent)
         msg = DhMatrixMessage(share)
         self.transcript.append(("send", wire_encode(msg)))
         self.state = SessionState.SENT_DH
@@ -221,12 +232,10 @@ class SyncSession:
         """Our masked public share P = Q @ sum_i W_s^alpha_i + r."""
         self._expect(SessionState.HAVE_SHARED, "public_vector")
         field = self.config.field
-        n = self.config.n
-        mix = None
+        powers = SquaringTable(self.shared_matrix)
+        p_vec = self.mask
         for alpha in self.mix_exponents:
-            term = mat_pow(self.shared_matrix, alpha)
-            mix = term if mix is None else mat_add(mix, term)
-        p_vec = vec_add(field, vec_mat(self.config.q, mix), self.mask)
+            p_vec = vec_add(field, p_vec, powers.vec_pow(self.config.q, alpha))
         self.local_public = p_vec
         msg = PublicVectorMessage(field, p_vec)
         self.transcript.append(("send", wire_encode(msg)))
