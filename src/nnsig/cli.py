@@ -13,6 +13,7 @@ Every subcommand that consumes randomness is deterministic under ``--seed
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -41,7 +42,7 @@ from .metrics import (
     measured_sizes,
     op_count_report,
 )
-from .network import NetworkConfig
+from .network import NetworkConfig, _sub_rng
 from .scheme import (
     keygen,
     parse_public_key,
@@ -93,10 +94,7 @@ def _master_seed(args) -> Optional[bytes]:
 
 
 def _rng_for(master: Optional[bytes], tag: bytes) -> random.Random:
-    if master is None:
-        return random.Random()
-    digest = hashlib.sha256(master + b":" + tag).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return random.Random() if master is None else _sub_rng(master, tag)
 
 
 def _net_seed(master: Optional[bytes]) -> bytes:
@@ -256,20 +254,7 @@ def cmd_params(args) -> int:
         f"quantum doubled-log (2x >= {est.level}): "
         f"{'PASS' if est.quantum_ok_doubled_log else 'FAIL'}",
     )
-    _emit_json(
-        args,
-        {
-            "n": est.n,
-            "p": p,
-            "level": est.level,
-            "classical_bits": est.classical_bits,
-            "quantum_bits": est.quantum_bits,
-            "keyspace_bits": est.keyspace_bits,
-            "classical_ok": est.classical_ok,
-            "quantum_ok_grover": est.quantum_ok_grover,
-            "quantum_ok_doubled_log": est.quantum_ok_doubled_log,
-        },
-    )
+    _emit_json(args, dataclasses.asdict(est))
     return EXIT_OK
 
 
@@ -461,10 +446,7 @@ def main(argv=None) -> int:
     except (MalformedEncoding, DimensionMismatch) as exc:
         print(f"encoding error: {exc}", file=sys.stderr)
         return EXIT_ENCODING
-    except ConnectionError as exc:
-        print(f"connection failed: {exc}", file=sys.stderr)
-        return EXIT_CONNECT
-    except socket.gaierror as exc:
+    except (ConnectionError, socket.gaierror) as exc:
         print(f"connection failed: {exc}", file=sys.stderr)
         return EXIT_CONNECT
     except OSError as exc:

@@ -4,6 +4,10 @@ Field elements are plain Python ints in ``[0, p)``; the :class:`Field` object
 carries the modulus and derived encoding widths.  Plain ints keep products
 exact for any modulus up to the 61-bit cap (a 61x61-bit product needs 122
 bits, which rules out int64 vectorization).
+
+Field operations are counted at one point: every kernel reports its work
+through :func:`tally`, which adds it to the counter that :func:`count_ops`
+installed on the calling thread, if any.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import ParameterError
 
@@ -79,9 +83,14 @@ class OpCounter:
 _tls = threading.local()
 
 
-def active_counter() -> Optional[OpCounter]:
-    """The counter installed on this thread, or None when not instrumenting."""
-    return getattr(_tls, "counter", None)
+def tally(muls: int = 0, adds: int = 0, subs: int = 0, invs: int = 0) -> None:
+    """Add one kernel's field operations to this thread's counter, if one is installed."""
+    c = getattr(_tls, "counter", None)
+    if c is not None:
+        c.muls += muls
+        c.adds += adds
+        c.subs += subs
+        c.invs += invs
 
 
 @contextmanager
@@ -129,21 +138,15 @@ class Field:
         return x % self.p
 
     def add(self, a: int, b: int) -> int:
-        c = active_counter()
-        if c is not None:
-            c.adds += 1
+        tally(adds=1)
         return (a + b) % self.p
 
     def sub(self, a: int, b: int) -> int:
-        c = active_counter()
-        if c is not None:
-            c.subs += 1
+        tally(subs=1)
         return (a - b) % self.p
 
     def mul(self, a: int, b: int) -> int:
-        c = active_counter()
-        if c is not None:
-            c.muls += 1
+        tally(muls=1)
         return a * b % self.p
 
     def inv(self, a: int) -> int:
@@ -151,9 +154,7 @@ class Field:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("0 has no inverse mod p")
-        c = active_counter()
-        if c is not None:
-            c.invs += 1
+        tally(invs=1)
         return pow(a, self.p - 2, self.p)
 
     # --- sampling ----------------------------------------------------------

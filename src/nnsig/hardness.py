@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import List, Tuple
 
-from .errors import LimitExceeded, ParameterError
+from .errors import DimensionMismatch, LimitExceeded, ParameterError
 from .field import Field
 from .matrix import MatrixZp, PermutationMatrix, mat_mul, mat_pow, random_invertible
 
@@ -75,27 +75,38 @@ def _check_limits(instance: MatrixPowerInstance, n_limit: int, p_limit: int) -> 
         raise LimitExceeded(f"p={instance.field.p} above solver guardrail {p_limit}")
 
 
+def _search(
+    instance: MatrixPowerInstance, exponents, perms, n_limit: int, p_limit: int
+) -> List[Tuple[int, tuple]]:
+    """Every (exponent, perm) whose rows of A^exponent, picked in perm order, give B.
+
+    exponents must be consecutive: the first power is one mat_pow, each later
+    one a single mat_mul.  Hits come in the order of exponents, then of perms.
+    perms is only materialized once the guardrails have passed.
+    """
+    _check_limits(instance, n_limit, p_limit)
+    perms = tuple(perms)
+    a_mat, target = instance.a_mat, instance.b_mat.rows
+    hits = []
+    power = None
+    for exponent in exponents:
+        power = mat_pow(a_mat, exponent) if power is None else mat_mul(power, a_mat)
+        rows = power.rows
+        hits.extend((exponent, perm) for perm in perms if tuple(rows[t] for t in perm) == target)
+    return hits
+
+
 def brute_force_solve(
     instance: MatrixPowerInstance,
     n_limit: int = SOLVER_N_LIMIT,
     p_limit: int = SOLVER_P_LIMIT,
 ) -> List[MatrixPowerSolution]:
     """Enumerate every (a, L) in [1, p-1] x S_n; returns all hits, order-normalized."""
-    _check_limits(instance, n_limit, p_limit)
-    n = instance.n
-    target = instance.b_mat.rows
-    hits = []
-    power = instance.a_mat
-    for exponent in range(1, instance.field.p):
-        for perm in permutations(range(n)):
-            if tuple(power.rows[t] for t in perm) == target:
-                hits.append(
-                    MatrixPowerSolution(exponent=exponent, perm=PermutationMatrix(perm))
-                )
-        if exponent + 1 < instance.field.p:
-            power = mat_mul(power, instance.a_mat)
-    hits.sort(key=lambda s: (s.exponent, s.perm.perm))
-    return hits
+    perms = permutations(range(instance.n))
+    return [
+        MatrixPowerSolution(exponent=exponent, perm=PermutationMatrix(perm))
+        for exponent, perm in _search(instance, range(1, instance.field.p), perms, n_limit, p_limit)
+    ]
 
 
 def solve_with_exponent(
@@ -105,16 +116,11 @@ def solve_with_exponent(
     p_limit: int = SOLVER_P_LIMIT,
 ) -> List[PermutationMatrix]:
     """Residual search with a fixed: enumerate the n! row permutations."""
-    _check_limits(instance, n_limit, p_limit)
-    power = mat_pow(instance.a_mat, exponent)
-    target = instance.b_mat.rows
-    found = [
+    perms = permutations(range(instance.n))
+    return [
         PermutationMatrix(perm)
-        for perm in permutations(range(instance.n))
-        if tuple(power.rows[t] for t in perm) == target
+        for _, perm in _search(instance, (exponent,), perms, n_limit, p_limit)
     ]
-    found.sort(key=lambda q: q.perm)
-    return found
 
 
 def solve_with_perm(
@@ -123,17 +129,11 @@ def solve_with_perm(
     n_limit: int = SOLVER_N_LIMIT,
     p_limit: int = SOLVER_P_LIMIT,
 ) -> List[int]:
-    """Residual search with L fixed: scan exponents against L^{-1} @ B."""
-    _check_limits(instance, n_limit, p_limit)
-    target = perm.inverse().permute_rows(instance.b_mat).rows
-    hits = []
-    power = instance.a_mat
-    for exponent in range(1, instance.field.p):
-        if power.rows == target:
-            hits.append(exponent)
-        if exponent + 1 < instance.field.p:
-            power = mat_mul(power, instance.a_mat)
-    return hits
+    """Residual search with L fixed: scan exponents against B."""
+    if perm.n != instance.n:
+        raise DimensionMismatch("permutation size does not match n")
+    hits = _search(instance, range(1, instance.field.p), (perm.perm,), n_limit, p_limit)
+    return [exponent for exponent, _ in hits]
 
 
 # --- parameter estimates ------------------------------------------------------

@@ -9,15 +9,26 @@ reducing every term.
 Also home to the fixed-width little-endian codecs shared by key files,
 signature files and wire frames: a matrix is ``u32 rows | u32 cols | entries``
 and a vector is ``u32 len | entries``, each entry ``field.element_size`` bytes.
+Every element run in every format goes through :func:`encode_elements` and
+:func:`read_elements`; every file starts with a magic (and, except the theta
+file, a version byte) checked by :func:`read_header`; a modulus read from a
+file becomes a :class:`Field` through :func:`field_from_wire`.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import DimensionMismatch, MalformedEncoding, SingularMatrixError
-from .field import Field, active_counter
+from .errors import (
+    DimensionMismatch,
+    MalformedEncoding,
+    ParameterError,
+    SingularMatrixError,
+    UnsupportedVersion,
+)
+from .field import Field, tally
 
 # Decoders refuse dimensions above this (allocation guard, not a math limit).
 MAX_DECODE_DIM = 1 << 20
@@ -40,9 +51,6 @@ class MatrixZp:
     @property
     def n_cols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
 
 def from_rows(field: Field, rows) -> MatrixZp:
@@ -97,11 +105,7 @@ def mat_mul(a: MatrixZp, b: MatrixZp) -> MatrixZp:
     out = tuple(
         tuple(sum(x * y for x, y in zip(arow, bcol)) % p for bcol in bcols) for arow in a.rows
     )
-    c = active_counter()
-    if c is not None:
-        inner = a.n_cols
-        c.muls += a.n_rows * b.n_cols * inner
-        c.adds += a.n_rows * b.n_cols * (inner - 1)
+    tally(muls=a.n_rows * b.n_cols * a.n_cols, adds=a.n_rows * b.n_cols * (a.n_cols - 1))
     return MatrixZp(a.field, out)
 
 
@@ -113,9 +117,7 @@ def mat_add(a: MatrixZp, b: MatrixZp) -> MatrixZp:
     out = tuple(
         tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)
     )
-    c = active_counter()
-    if c is not None:
-        c.adds += a.n_rows * a.n_cols
+    tally(adds=a.n_rows * a.n_cols)
     return MatrixZp(a.field, out)
 
 
@@ -187,18 +189,17 @@ def mat_inv(a: MatrixZp) -> MatrixZp:
     p = a.field.p
     work = [list(row) for row in a.rows]
     aug = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    c = active_counter()
+    # Counted in locals and tallied once, on the way out or before the raise.
+    rows_done = 0
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
         if pivot is None:
+            tally(muls=2 * n * (col + rows_done), subs=2 * n * rows_done, invs=col)
             raise SingularMatrixError(f"no pivot in column {col}")
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
             aug[col], aug[pivot] = aug[pivot], aug[col]
         inv_p = pow(work[col][col], p - 2, p)
-        if c is not None:
-            c.invs += 1
-            c.muls += 2 * n
         work[col] = [x * inv_p % p for x in work[col]]
         aug[col] = [x * inv_p % p for x in aug[col]]
         wc, ac = work[col], aug[col]
@@ -212,9 +213,8 @@ def mat_inv(a: MatrixZp) -> MatrixZp:
             for j in range(n):
                 wr[j] = (wr[j] - factor * wc[j]) % p
                 ar[j] = (ar[j] - factor * ac[j]) % p
-            if c is not None:
-                c.muls += 2 * n
-                c.subs += 2 * n
+            rows_done += 1
+    tally(muls=2 * n * (n + rows_done), subs=2 * n * rows_done, invs=n)
     return MatrixZp(a.field, tuple(tuple(row) for row in aug))
 
 
@@ -226,17 +226,18 @@ def det(a: MatrixZp) -> int:
     p = a.field.p
     work = [list(row) for row in a.rows]
     sign = 1
-    c = active_counter()
+    # Counted in locals and tallied once, on the way out or before the early return.
+    rows_done = subs = 0
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
         if pivot is None:
+            tally(muls=rows_done + subs, subs=subs, invs=col)
             return 0
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
             sign = -sign
         inv_p = pow(work[col][col], p - 2, p)
-        if c is not None:
-            c.invs += 1
+        eliminated = 0
         for r in range(col + 1, n):
             factor = work[r][col] * inv_p % p
             if factor == 0:
@@ -244,14 +245,13 @@ def det(a: MatrixZp) -> int:
             wr, wc = work[r], work[col]
             for j in range(col, n):
                 wr[j] = (wr[j] - factor * wc[j]) % p
-            if c is not None:
-                c.muls += 1 + (n - col)
-                c.subs += n - col
+            eliminated += 1
+        rows_done += eliminated
+        subs += eliminated * (n - col)
     d = sign
     for i in range(n):
         d = d * work[i][i]
-    if c is not None:
-        c.muls += n
+    tally(muls=rows_done + subs + n, subs=subs, invs=n)
     return d % p
 
 
@@ -261,10 +261,7 @@ def mat_vec(a: MatrixZp, v) -> tuple:
         raise DimensionMismatch(f"{a.n_rows}x{a.n_cols} matrix times length-{len(v)} vector")
     p = a.field.p
     out = tuple(sum(x * y for x, y in zip(row, v)) % p for row in a.rows)
-    c = active_counter()
-    if c is not None:
-        c.muls += a.n_rows * a.n_cols
-        c.adds += a.n_rows * (a.n_cols - 1)
+    tally(muls=a.n_rows * a.n_cols, adds=a.n_rows * (a.n_cols - 1))
     return out
 
 
@@ -274,10 +271,7 @@ def vec_mat(v, a: MatrixZp) -> tuple:
         raise DimensionMismatch(f"length-{len(v)} vector times {a.n_rows}x{a.n_cols} matrix")
     p = a.field.p
     out = tuple(sum(x * y for x, y in zip(v, col)) % p for col in zip(*a.rows))
-    c = active_counter()
-    if c is not None:
-        c.muls += a.n_rows * a.n_cols
-        c.adds += a.n_cols * (a.n_rows - 1)
+    tally(muls=a.n_rows * a.n_cols, adds=a.n_cols * (a.n_rows - 1))
     return out
 
 
@@ -285,9 +279,7 @@ def vec_add(field: Field, u, v) -> tuple:
     if len(u) != len(v):
         raise DimensionMismatch("vector addition needs equal lengths")
     p = field.p
-    c = active_counter()
-    if c is not None:
-        c.adds += len(u)
+    tally(adds=len(u))
     return tuple((x + y) % p for x, y in zip(u, v))
 
 
@@ -295,9 +287,7 @@ def vec_sub(field: Field, u, v) -> tuple:
     if len(u) != len(v):
         raise DimensionMismatch("vector subtraction needs equal lengths")
     p = field.p
-    c = active_counter()
-    if c is not None:
-        c.subs += len(u)
+    tally(subs=len(u))
     return tuple((x - y) % p for x, y in zip(u, v))
 
 
@@ -359,9 +349,53 @@ class PermutationMatrix:
 # --- fixed-width little-endian codecs ---------------------------------------
 
 
-def encode_vector(field: Field, v) -> bytes:
+def field_from_wire(p: int) -> Field:
+    """The field of a modulus read from a file or frame; a bad one is an encoding error."""
+    try:
+        return Field(p)
+    except ParameterError as exc:
+        raise MalformedEncoding(f"bad modulus in file: {exc}") from exc
+
+
+def read_header(data: bytes, magic: bytes, version: Optional[int], kind: str) -> int:
+    """Check a file's magic and version byte; returns the offset after them.
+
+    ``version=None`` means the format has no version byte.
+    """
+    end = len(magic) + (version is not None)
+    if len(data) < end:
+        raise MalformedEncoding(f"{kind} file shorter than its header")
+    if data[: len(magic)] != magic:
+        raise MalformedEncoding(f"bad {kind} magic {data[:len(magic)]!r}")
+    if version is not None and data[len(magic)] != version:
+        raise UnsupportedVersion(f"{kind} format version {data[len(magic)]} not supported")
+    return end
+
+
+def encode_elements(field: Field, values) -> bytes:
+    """Field elements back to back, ``field.element_size`` bytes each."""
     size = field.element_size
-    return _LEN.pack(len(v)) + b"".join(x.to_bytes(size, "little") for x in v)
+    return b"".join([x.to_bytes(size, "little") for x in values])
+
+
+def read_elements(field: Field, buf: bytes, offset: int, count: int, what: str):
+    """Decode count elements at offset; returns (tuple, next_offset).
+
+    The length is checked before anything is decoded, and any entry >= p is
+    rejected.
+    """
+    size = field.element_size
+    end = offset + count * size
+    if len(buf) < end:
+        raise MalformedEncoding(f"truncated {what} payload")
+    out = tuple([int.from_bytes(buf[i : i + size], "little") for i in range(offset, end, size)])
+    if out and max(out) >= field.p:
+        raise MalformedEncoding(f"{what} entry {max(out)} out of range for p={field.p}")
+    return out, end
+
+
+def encode_vector(field: Field, v) -> bytes:
+    return _LEN.pack(len(v)) + encode_elements(field, v)
 
 
 def read_vector(field: Field, buf: bytes, offset: int = 0) -> tuple:
@@ -371,19 +405,7 @@ def read_vector(field: Field, buf: bytes, offset: int = 0) -> tuple:
     (length,) = _LEN.unpack_from(buf, offset)
     if length > MAX_DECODE_DIM:
         raise MalformedEncoding(f"vector length {length} above decode cap")
-    offset += _LEN.size
-    size = field.element_size
-    end = offset + length * size
-    if len(buf) < end:
-        raise MalformedEncoding("truncated vector payload")
-    p = field.p
-    out = []
-    for i in range(length):
-        x = int.from_bytes(buf[offset + i * size : offset + (i + 1) * size], "little")
-        if x >= p:
-            raise MalformedEncoding(f"vector entry {x} out of range for p={p}")
-        out.append(x)
-    return tuple(out), end
+    return read_elements(field, buf, offset + _LEN.size, length, "vector")
 
 
 def decode_vector(field: Field, buf: bytes) -> tuple:
@@ -394,9 +416,8 @@ def decode_vector(field: Field, buf: bytes) -> tuple:
 
 
 def encode_matrix(a: MatrixZp) -> bytes:
-    size = a.field.element_size
-    body = b"".join(x.to_bytes(size, "little") for row in a.rows for x in row)
-    return _DIMS.pack(a.n_rows, a.n_cols) + body
+    flat = [x for row in a.rows for x in row]
+    return _DIMS.pack(a.n_rows, a.n_cols) + encode_elements(a.field, flat)
 
 
 def read_matrix(field: Field, buf: bytes, offset: int = 0):
@@ -406,24 +427,9 @@ def read_matrix(field: Field, buf: bytes, offset: int = 0):
     n_rows, n_cols = _DIMS.unpack_from(buf, offset)
     if n_rows == 0 or n_cols == 0 or n_rows > MAX_DECODE_DIM or n_cols > MAX_DECODE_DIM:
         raise MalformedEncoding(f"bad matrix dimensions {n_rows}x{n_cols}")
-    offset += _DIMS.size
-    size = field.element_size
-    end = offset + n_rows * n_cols * size
-    if len(buf) < end:
-        raise MalformedEncoding("truncated matrix payload")
-    p = field.p
-    rows = []
-    pos = offset
-    for _ in range(n_rows):
-        row = []
-        for _ in range(n_cols):
-            x = int.from_bytes(buf[pos : pos + size], "little")
-            if x >= p:
-                raise MalformedEncoding(f"matrix entry {x} out of range for p={p}")
-            row.append(x)
-            pos += size
-        rows.append(tuple(row))
-    return MatrixZp(field, tuple(rows)), end
+    flat, end = read_elements(field, buf, offset + _DIMS.size, n_rows * n_cols, "matrix")
+    rows = tuple(flat[i : i + n_cols] for i in range(0, len(flat), n_cols))
+    return MatrixZp(field, rows), end
 
 
 def decode_matrix(field: Field, buf: bytes) -> MatrixZp:

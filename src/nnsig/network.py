@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import DimensionMismatch, ParameterError, SingularWeightsError
-from .field import Field, active_counter
+from .field import Field, tally
 from .matrix import MatrixZp, det, identity, mat_add, mat_inv, mat_mul, mat_vec, vec_add, vec_sub
 
 # How many fresh draws sample_weights makes before giving up on a nonsingular
@@ -157,9 +157,7 @@ def step_matrix(weights: SynapticWeights, attention_vec) -> MatrixZp:
         raise DimensionMismatch("attention vector length does not match n")
     p = w.field.p
     out = tuple(tuple(x * a % p for x, a in zip(row, attention_vec)) for row in w.rows)
-    c = active_counter()
-    if c is not None:
-        c.muls += w.n_rows * w.n_cols
+    tally(muls=w.n_rows * w.n_cols)
     return MatrixZp(w.field, out)
 
 
@@ -172,13 +170,11 @@ def evolve_iterative(weights: SynapticWeights, schedule: AttentionSchedule, s0, 
     field = w.field
     p = field.p
     state = tuple(x % p for x in s0)
-    c = active_counter()
     for att in schedule.vectors:
         if len(att) != n:
             raise DimensionMismatch("attention vector length does not match n")
         gated = tuple(a * s % p for a, s in zip(att, state))
-        if c is not None:
-            c.muls += n
+        tally(muls=n)
         state = vec_add(field, mat_vec(w, gated), theta)
     return state
 

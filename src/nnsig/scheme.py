@@ -37,20 +37,19 @@ import struct
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Tuple
 
-from .errors import (
-    DimensionMismatch,
-    MalformedEncoding,
-    ParameterError,
-    UnsupportedVersion,
-)
+from .errors import DimensionMismatch, MalformedEncoding, ParameterError
 from .field import Field
 from .matrix import (
     MatrixZp,
     PermutationMatrix,
+    encode_elements,
     encode_matrix,
+    field_from_wire,
     mat_inv,
     mat_pow,
     mat_vec,
+    read_elements,
+    read_header,
     read_matrix,
     vec_add,
     vec_sub,
@@ -318,33 +317,15 @@ def serialize_public_key(pk: PublicKey) -> bytes:
     )
 
 
-def _check_header(data: bytes, magic: bytes, kind: str) -> None:
-    if len(data) < len(magic) + 1:
-        raise MalformedEncoding(f"{kind} file shorter than its header")
-    if data[: len(magic)] != magic:
-        raise MalformedEncoding(f"bad {kind} magic {data[:len(magic)]!r}")
-    version = data[len(magic)]
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"{kind} format version {version} not supported")
-
-
-def _field_from_wire(p: int) -> Field:
-    try:
-        return Field(p)
-    except ParameterError as exc:
-        raise MalformedEncoding(f"bad modulus in file: {exc}") from exc
-
-
 def parse_public_key(data: bytes) -> PublicKey:
-    _check_header(data, PK_MAGIC, "public-key")
-    off = len(PK_MAGIC) + 1
+    off = read_header(data, PK_MAGIC, FORMAT_VERSION, "public-key")
     if len(data) < off + 16:
         raise MalformedEncoding("public-key file truncated in header")
     (p,) = _U64.unpack_from(data, off)
     (n,) = _U32.unpack_from(data, off + 8)
     (l,) = _U32.unpack_from(data, off + 12)
     off += 16
-    field = _field_from_wire(p)
+    field = field_from_wire(p)
     if n < 2 or not 1 <= l < n:
         raise MalformedEncoding(f"bad public-key dimensions n={n}, l={l}")
     w_x_bar, off = read_matrix(field, data, off)
@@ -379,20 +360,17 @@ def serialize_secret_key(sk: SecretKey) -> bytes:
                 packed[idx >> 3] |= 1 << (idx & 7)
             idx += 1
     out.append(bytes(packed))
-    size = sk.field.element_size
-    for vec in sk.schedule.vectors:
-        out.append(b"".join(x.to_bytes(size, "little") for x in vec))
+    out.append(encode_elements(sk.field, [x for vec in sk.schedule.vectors for x in vec]))
     return b"".join(out)
 
 
 def parse_secret_key(data: bytes) -> SecretKey:
-    _check_header(data, SK_MAGIC, "secret-key")
-    off = len(SK_MAGIC) + 1
+    off = read_header(data, SK_MAGIC, FORMAT_VERSION, "secret-key")
     if len(data) < off + 48:
         raise MalformedEncoding("secret-key file truncated in header")
     p, n, l, rho, a, b = struct.unpack_from("<6Q", data, off)
     off += 48
-    field = _field_from_wire(p)
+    field = field_from_wire(p)
     if n < 2 or not 1 <= l < n or rho < 1:
         raise MalformedEncoding(f"bad secret-key dimensions n={n}, l={l}, rho={rho}")
     if not (2 <= a <= p - 2 and 2 <= b <= p - 2):
@@ -421,19 +399,9 @@ def parse_secret_key(data: bytes) -> SecretKey:
             row.append(p - 1 if bit else 1)
         rows.append(tuple(row))
     weights = SynapticWeights(w=MatrixZp(field, tuple(rows)))
-    size = field.element_size
-    vecs = []
-    for _ in range(rho):
-        if len(data) < off + n * size:
-            raise MalformedEncoding("secret-key file truncated in schedule")
-        vec = []
-        for i in range(n):
-            x = int.from_bytes(data[off + i * size : off + (i + 1) * size], "little")
-            if not 1 <= x <= p - 1:
-                raise MalformedEncoding(f"schedule entry {x} outside [1, p-1]")
-            vec.append(x)
-        off += n * size
-        vecs.append(tuple(vec))
+    flat, off = read_elements(field, data, off, rho * n, "schedule")
+    if 0 in flat:
+        raise MalformedEncoding("schedule entry 0 outside [1, p-1]")
     if off != len(data):
         raise MalformedEncoding("trailing bytes after secret key")
     return SecretKey(
@@ -446,7 +414,7 @@ def parse_secret_key(data: bytes) -> SecretKey:
         b=b,
         rho=rho,
         weights=weights,
-        schedule=AttentionSchedule(tuple(vecs)),
+        schedule=AttentionSchedule(tuple(flat[i : i + n] for i in range(0, len(flat), n))),
     )
 
 
@@ -454,37 +422,23 @@ def serialize_signature(sig: Signature, field: Field) -> bytes:
     n = len(sig.sigma0)
     if len(sig.sigma1) != n:
         raise DimensionMismatch("signature halves have different lengths")
-    size = field.element_size
     return (
         SIG_MAGIC
         + bytes([FORMAT_VERSION])
         + _U32.pack(n)
-        + b"".join(x.to_bytes(size, "little") for x in sig.sigma0)
-        + b"".join(x.to_bytes(size, "little") for x in sig.sigma1)
+        + encode_elements(field, (*sig.sigma0, *sig.sigma1))
     )
 
 
 def parse_signature(data: bytes, field: Field) -> Signature:
-    _check_header(data, SIG_MAGIC, "signature")
-    off = len(SIG_MAGIC) + 1
+    off = read_header(data, SIG_MAGIC, FORMAT_VERSION, "signature")
     if len(data) < off + 4:
         raise MalformedEncoding("signature file truncated in header")
     (n,) = _U32.unpack_from(data, off)
     off += 4
     if n < 2:
         raise MalformedEncoding(f"bad signature length n={n}")
-    size = field.element_size
-    if len(data) != off + 2 * n * size:
-        raise MalformedEncoding("signature payload length mismatch")
-    p = field.p
-    halves = []
-    for _ in range(2):
-        vec = []
-        for i in range(n):
-            x = int.from_bytes(data[off + i * size : off + (i + 1) * size], "little")
-            if x >= p:
-                raise MalformedEncoding(f"signature entry {x} out of range for p={p}")
-            vec.append(x)
-        off += n * size
-        halves.append(tuple(vec))
-    return Signature(sigma0=halves[0], sigma1=halves[1])
+    flat, off = read_elements(field, data, off, 2 * n, "signature")
+    if off != len(data):
+        raise MalformedEncoding("trailing bytes after signature")
+    return Signature(sigma0=flat[:n], sigma1=flat[n:])

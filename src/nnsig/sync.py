@@ -45,7 +45,9 @@ from .matrix import (
     det,
     encode_matrix,
     encode_vector,
+    field_from_wire,
     mat_pow,
+    read_header,
     read_matrix,
     read_vector,
     vec_add,
@@ -95,8 +97,8 @@ def wire_encode(msg: SyncMessage) -> bytes:
     return _HDR.pack(tag, len(payload)) + payload
 
 
-def read_frame(data: bytes, field: Field, offset: int = 0) -> Tuple[SyncMessage, int]:
-    """Decode one frame at offset; returns (message, next_offset)."""
+def _frame_header(data: bytes, offset: int) -> Tuple[int, int]:
+    """Check the frame header at offset; returns (tag, payload length)."""
     if len(data) < offset + _HDR.size:
         raise MalformedFrame("truncated frame header")
     tag, length = _HDR.unpack_from(data, offset)
@@ -104,6 +106,12 @@ def read_frame(data: bytes, field: Field, offset: int = 0) -> Tuple[SyncMessage,
         raise UnknownTag(f"unknown frame tag 0x{tag:02x}")
     if length > MAX_PAYLOAD:
         raise LengthOverflow(f"declared payload of {length} bytes exceeds cap {MAX_PAYLOAD}")
+    return tag, length
+
+
+def read_frame(data: bytes, field: Field, offset: int = 0) -> Tuple[SyncMessage, int]:
+    """Decode one frame at offset; returns (message, next_offset)."""
+    tag, length = _frame_header(data, offset)
     offset += _HDR.size
     if len(data) < offset + length:
         raise MalformedFrame("truncated frame payload")
@@ -222,6 +230,10 @@ class SyncSession:
             raise MalformedFrame(f"peer DH share is {peer.n_rows}x{peer.n_cols}, expected {n}x{n}")
         if peer.field.p != self.config.field.p:
             raise MalformedFrame("peer DH share uses a different modulus")
+        # A singular share (all-zero, say) gives a singular W_s whatever our
+        # exponent is: the all-zero share fixes W_s = 0 and with it the mask.
+        if det(peer) == 0:
+            raise MalformedFrame("peer DH share is singular")
         self.transcript.append(("recv", wire_encode(msg)))
         shared = mat_pow(peer, self.dh_exponent)
         self.shared_matrix = shared
@@ -292,11 +304,7 @@ def send_frame(sock, msg: SyncMessage) -> None:
 
 def recv_frame(sock, field: Field) -> SyncMessage:
     header = _recv_exact(sock, _HDR.size)
-    tag, length = _HDR.unpack_from(header)
-    if tag not in (TAG_DH_MATRIX, TAG_PUBLIC_VECTOR):
-        raise UnknownTag(f"unknown frame tag 0x{tag:02x}")
-    if length > MAX_PAYLOAD:
-        raise LengthOverflow(f"declared payload of {length} bytes exceeds cap {MAX_PAYLOAD}")
+    _, length = _frame_header(header, 0)
     return wire_decode(header + _recv_exact(sock, length), field)
 
 
@@ -323,9 +331,7 @@ def encode_theta(field: Field, theta) -> bytes:
 
 
 def decode_theta(field: Field, data: bytes) -> tuple:
-    if len(data) < len(THETA_MAGIC) or data[: len(THETA_MAGIC)] != THETA_MAGIC:
-        raise MalformedEncoding("bad theta magic")
-    vec, end = read_vector(field, data, len(THETA_MAGIC))
+    vec, end = read_vector(field, data, read_header(data, THETA_MAGIC, None, "theta"))
     if end != len(data):
         raise MalformedEncoding("trailing bytes after theta vector")
     return vec
@@ -344,21 +350,13 @@ def encode_shared_setup(weights: SynapticWeights, q: tuple) -> bytes:
 
 
 def decode_shared_setup(data: bytes) -> Tuple[SynapticWeights, tuple]:
-    hdr = len(SETUP_MAGIC)
-    if len(data) < hdr + 1 or data[:hdr] != SETUP_MAGIC:
-        raise MalformedEncoding("bad shared-setup magic")
-    if data[hdr] != SETUP_VERSION:
-        raise MalformedEncoding(f"shared-setup version {data[hdr]} not supported")
-    off = hdr + 1
+    off = read_header(data, SETUP_MAGIC, SETUP_VERSION, "shared-setup")
     if len(data) < off + 12:
         raise MalformedEncoding("shared-setup file truncated in header")
     (p,) = _U64.unpack_from(data, off)
     (n,) = _U32.unpack_from(data, off + 8)
     off += 12
-    try:
-        field = Field(p)
-    except ParameterError as exc:
-        raise MalformedEncoding(f"bad modulus in shared setup: {exc}") from exc
+    field = field_from_wire(p)
     w, off = read_matrix(field, data, off)
     q, off = read_vector(field, data, off)
     if off != len(data):
