@@ -7,7 +7,8 @@ Exit codes: 0 success (verify: accepted), 1 parameter rejection or guardrail,
 rejected, 6 malformed key/signature/vector encoding.
 
 Every subcommand that consumes randomness is deterministic under ``--seed
-<hex>`` (fallback: the NNSIG_SEED environment variable).
+<hex>`` (fallback: the NNSIG_SEED environment variable); without a seed it
+draws from the operating system's CSPRNG.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import random
+import secrets
 import socket
 import sys
 import time
@@ -94,7 +96,7 @@ def _master_seed(args) -> Optional[bytes]:
 
 
 def _rng_for(master: Optional[bytes], tag: bytes) -> random.Random:
-    return random.Random() if master is None else _sub_rng(master, tag)
+    return secrets.SystemRandom() if master is None else _sub_rng(master, tag)
 
 
 def _net_seed(master: Optional[bytes]) -> bytes:

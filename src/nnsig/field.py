@@ -2,8 +2,9 @@
 
 Field elements are plain Python ints in ``[0, p)``; the :class:`Field` object
 carries the modulus and derived encoding widths.  Plain ints keep products
-exact for any modulus up to the 61-bit cap (a 61x61-bit product needs 122
-bits, which rules out int64 vectorization).
+exact for any modulus up to the 61-bit cap: a 61x61-bit product needs 122
+bits, more than int64 or float64 hold, so the matrix kernels pack rows into
+arbitrary-precision ints instead (see :mod:`nnsig.matrix`).
 
 Field operations are counted at one point: every kernel reports its work
 through :func:`tally`, which adds it to the counter that :func:`count_ops`

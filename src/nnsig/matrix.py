@@ -1,10 +1,21 @@
 """Dense matrix and vector algebra over Z_p.
 
-Matrices are immutable row-major tuples of plain ints; vectors are plain
-tuples.  Inner products accumulate exact integer sums and reduce once at the
-end — for p below the 61-bit cap the partial sums stay far under Python's
-fast-int limits, and one reduction per entry is measurably faster than
-reducing every term.
+Matrices are immutable row-major tuples of plain ints in ``[0, p)``; vectors
+are plain tuples.  Inner products accumulate exact integer sums and reduce
+once at the end.
+
+``mat_mul``, ``mat_inv`` and ``det`` work on packed rows (Kronecker
+substitution): a row of entries becomes one Python int with a fixed number of
+bytes per entry ("slot"), so one big-int multiply-add updates a whole row.
+A slot is sized by :func:`_slot_width` to hold ``terms * (p - 1)**2 + p``,
+rounded up to 1, 2, 4 or 8 bytes where that suffices so that ``struct``
+packs and unpacks it.  ``mat_mul`` sums ``n_cols`` products per slot;
+elimination adds ``(p - f) * pivot_row`` (never a negative slot) and reduces
+a row only when it becomes the pivot, so a slot takes at most ``n - 1``
+additions of at most ``(p - 1)**2`` between reductions.  Both stay inside the
+slot, so no carry crosses into the next entry.  The bound holds only for
+entries in ``[0, p)``; the kernels check it and raise ``ParameterError`` for
+any other entry rather than return a wrong result.
 
 Also home to the fixed-width little-endian codecs shared by key files,
 signature files and wire frames: a matrix is ``u32 rows | u32 cols | entries``
@@ -17,6 +28,7 @@ file becomes a :class:`Field` through :func:`field_from_wire`.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -39,7 +51,11 @@ _LEN = struct.Struct("<I")
 
 @dataclass(frozen=True)
 class MatrixZp:
-    """Immutable dense matrix over a prime field."""
+    """Immutable dense matrix over a prime field; every entry lies in [0, p).
+
+    The constructor does not reduce or check entries (``from_rows`` does);
+    ``mat_mul``, ``mat_inv`` and ``det`` refuse a matrix that breaks the range.
+    """
 
     field: Field
     rows: tuple
@@ -96,14 +112,57 @@ def _same_field(a: MatrixZp, b: MatrixZp) -> None:
         raise DimensionMismatch("operands live in different fields")
 
 
+def _check_entries(a: MatrixZp) -> None:
+    """Refuse entries outside [0, p): they would borrow or carry across slots."""
+    if a.rows and (min(map(min, a.rows)) < 0 or max(map(max, a.rows)) >= a.field.p):
+        raise ParameterError(f"matrix entries must lie in [0, {a.field.p})")
+
+
+# struct codes of the slot widths packed and unpacked in C; wider slots (large
+# p) go through one int.from_bytes/to_bytes per entry.
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_width(p: int, terms: int) -> int:
+    """Bytes per slot for a sum of ``terms`` products of two entries plus one entry."""
+    need = ((terms * (p - 1) ** 2 + p).bit_length() + 7) // 8
+    return next((width for width in _SLOT_CODES if width >= need), need)
+
+
+def _pack(values, width: int) -> int:
+    """Entries as one int, ``width`` bytes per slot, the first in the lowest slot."""
+    code = _SLOT_CODES.get(width)
+    if code:
+        data = struct.pack(f"<{len(values)}{code}", *values)
+    else:
+        data = b"".join([x.to_bytes(width, "little") for x in values])
+    return int.from_bytes(data, "little")
+
+
+def _unpack(value: int, count: int, width: int, p: int) -> tuple:
+    """The ``count`` slots of a packed int, each reduced mod p."""
+    buf = value.to_bytes(count * width, "little")
+    code = _SLOT_CODES.get(width)
+    if code:
+        slots = struct.unpack(f"<{count}{code}", buf)
+    else:
+        slots = [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
+    return tuple([x % p for x in slots])
+
+
 def mat_mul(a: MatrixZp, b: MatrixZp) -> MatrixZp:
     _same_field(a, b)
     if a.n_cols != b.n_rows:
         raise DimensionMismatch(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
     p = a.field.p
-    bcols = tuple(zip(*b.rows))
+    _check_entries(a)
+    _check_entries(b)
+    width = _slot_width(p, a.n_cols)
+    packed_b = [_pack(row, width) for row in b.rows]
+    # Output row i is sum_k a[i][k] * (row k of B): one multiply-add per k, all
+    # n_cols slots at once, carry-free because every slot sum fits its width.
     out = tuple(
-        tuple(sum(x * y for x, y in zip(arow, bcol)) % p for bcol in bcols) for arow in a.rows
+        _unpack(sum(map(operator.mul, arow, packed_b)), b.n_cols, width, p) for arow in a.rows
     )
     tally(muls=a.n_rows * b.n_cols * a.n_cols, adds=a.n_rows * b.n_cols * (a.n_cols - 1))
     return MatrixZp(a.field, out)
@@ -187,35 +246,35 @@ def mat_inv(a: MatrixZp) -> MatrixZp:
         raise DimensionMismatch("only square matrices are invertible")
     n = a.n_rows
     p = a.field.p
-    work = [list(row) for row in a.rows]
-    aug = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    _check_entries(a)
+    width = _slot_width(p, n)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    # Row i of [A | I], packed: slots 0..n-1 hold A's row, slot n+i holds the 1.
+    work = [_pack(row, width) | 1 << bits * (n + i) for i, row in enumerate(a.rows)]
     # Counted in locals and tallied once, on the way out or before the raise.
     rows_done = 0
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        shift = bits * col
+        pivot = next((r for r in range(col, n) if (work[r] >> shift & mask) % p), None)
         if pivot is None:
             tally(muls=2 * n * (col + rows_done), subs=2 * n * rows_done, invs=col)
             raise SingularMatrixError(f"no pivot in column {col}")
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = pow(work[col][col], p - 2, p)
-        work[col] = [x * inv_p % p for x in work[col]]
-        aug[col] = [x * inv_p % p for x in aug[col]]
-        wc, ac = work[col], aug[col]
+        pivot_row = _unpack(work[col], 2 * n, width, p)
+        inv_p = pow(pivot_row[col], p - 2, p)
+        wc = work[col] = _pack([x * inv_p % p for x in pivot_row], width)
         for r in range(n):
             if r == col:
                 continue
-            factor = work[r][col]
+            factor = (work[r] >> shift & mask) % p
             if factor == 0:
                 continue
-            wr, ar = work[r], aug[r]
-            for j in range(n):
-                wr[j] = (wr[j] - factor * wc[j]) % p
-                ar[j] = (ar[j] - factor * ac[j]) % p
+            work[r] += (p - factor) * wc
             rows_done += 1
     tally(muls=2 * n * (n + rows_done), subs=2 * n * rows_done, invs=n)
-    return MatrixZp(a.field, tuple(tuple(row) for row in aug))
+    return MatrixZp(a.field, tuple(_unpack(row >> bits * n, n, width, p) for row in work))
 
 
 def det(a: MatrixZp) -> int:
@@ -224,35 +283,38 @@ def det(a: MatrixZp) -> int:
         raise DimensionMismatch("determinant needs a square matrix")
     n = a.n_rows
     p = a.field.p
-    work = [list(row) for row in a.rows]
-    sign = 1
+    _check_entries(a)
+    width = _slot_width(p, n)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    work = [_pack(row, width) for row in a.rows]
+    d = 1
     # Counted in locals and tallied once, on the way out or before the early return.
     rows_done = subs = 0
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        shift = bits * col
+        pivot = next((r for r in range(col, n) if (work[r] >> shift & mask) % p), None)
         if pivot is None:
             tally(muls=rows_done + subs, subs=subs, invs=col)
             return 0
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        inv_p = pow(work[col][col], p - 2, p)
+            d = -d
+        pivot_row = _unpack(work[col], n, width, p)
+        d = d * pivot_row[col] % p
+        inv_p = pow(pivot_row[col], p - 2, p)
+        wc = _pack(pivot_row, width)
         eliminated = 0
         for r in range(col + 1, n):
-            factor = work[r][col] * inv_p % p
+            factor = (work[r] >> shift & mask) * inv_p % p
             if factor == 0:
                 continue
-            wr, wc = work[r], work[col]
-            for j in range(col, n):
-                wr[j] = (wr[j] - factor * wc[j]) % p
+            work[r] += (p - factor) * wc
             eliminated += 1
         rows_done += eliminated
         subs += eliminated * (n - col)
-    d = sign
-    for i in range(n):
-        d = d * work[i][i]
     tally(muls=rows_done + subs + n, subs=subs, invs=n)
-    return d % p
+    return d
 
 
 def mat_vec(a: MatrixZp, v) -> tuple:

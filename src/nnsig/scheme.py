@@ -184,10 +184,6 @@ def _theta_bias(owner, w_theta_bar: MatrixZp, theta) -> tuple:
     return bias
 
 
-def _fresh_rng() -> random.Random:
-    return random.Random(secrets.randbits(256))
-
-
 def derive_keypair(
     config: NetworkConfig,
     weights: SynapticWeights,
@@ -228,10 +224,13 @@ def keygen(
     rng: Optional[random.Random] = None,
     split_index: Optional[int] = None,
 ) -> Tuple[PublicKey, SecretKey]:
-    """Sample a keypair: network from config.seed, masks from rng."""
+    """Sample a keypair: network from config.seed, masks from rng.
+
+    Without an rng the masks come from the operating system's CSPRNG.
+    """
     if config.field.p < 5:
         raise ParameterError("keygen needs p >= 5 so the exponent range [2, p-2] is nonempty")
-    rng = rng or _fresh_rng()
+    rng = rng or secrets.SystemRandom()
     weights, schedule = build_network(config)
     p = config.field.p
     a = rng.randrange(2, p - 1)
@@ -254,12 +253,14 @@ def sign(
 
     Randomizer sampling order is part of the contract (tests replay it):
     first the n-l entries of r0, then the l entries of r1, each in index
-    order from the supplied rng.
+    order from the supplied rng.  Without an rng they come from the
+    operating system's CSPRNG: anyone holding the public key and theta can
+    recover them, and enough Mersenne Twister outputs give away its state.
     """
     n, l, field = sk.n, sk.l, sk.field
     if len(theta) != n:
         raise DimensionMismatch(f"theta has length {len(theta)}, expected {n}")
-    rng = rng or _fresh_rng()
+    rng = rng or secrets.SystemRandom()
     h = hash_to_field(message, n, field)
     h0, h1 = h[:l], h[l:]
     r0 = field.sample_vector(rng, n - l)

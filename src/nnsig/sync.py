@@ -13,6 +13,10 @@ costs only its multiplies.  ``P`` is computed as ``r + sum_i Q @ W_s^{alpha_i}``
 each term is a chain of vector-matrix products over one table of ``W_s``,
 never a full matrix power.
 
+A peer share that is singular or the identity is refused, since either one
+fixes ``W_s`` (and with it the mask) whatever our exponent is; ``create``
+redraws d while ``W^d`` is the identity, so an honest party never sends it.
+
 Wire frames are ``u8 tag | u32le length | payload`` with tag 0x01 carrying a
 matrix (the DH share) and 0x02 a vector (the public share).  Sessions are
 strict state machines — any out-of-order call raises InvalidStateError and
@@ -24,6 +28,7 @@ from __future__ import annotations
 import enum
 import functools
 import random
+import secrets
 import struct
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Tuple, Union
@@ -46,6 +51,7 @@ from .matrix import (
     encode_matrix,
     encode_vector,
     field_from_wire,
+    identity,
     mat_pow,
     read_header,
     read_matrix,
@@ -184,6 +190,8 @@ class SyncSession:
     mask: Optional[tuple] = dc_field(default=None, init=False)
     local_public: Optional[tuple] = dc_field(default=None, init=False)
     theta: Optional[tuple] = dc_field(default=None, init=False)
+    # W^d, when create() already computed it to check it is not the identity.
+    _dh_share: Optional[MatrixZp] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = self.config.field.p
@@ -196,13 +204,29 @@ class SyncSession:
 
     @classmethod
     def create(cls, config: SyncConfig, rng: Optional[random.Random] = None) -> "SyncSession":
-        rng = rng or random.Random()
+        """A session with fresh exponents, drawn from the operating system's
+        CSPRNG unless an rng is passed.
+
+        d is redrawn while ``W^d`` is the identity: that share would make
+        ``W_s = I`` and the mask public, and the peer rejects it.
+        """
+        rng = rng or secrets.SystemRandom()
         p = config.field.p
-        return cls(
+        one = identity(config.field, config.n)
+        if config.weights.w == one:
+            raise ParameterError("the base matrix is the identity, so every DH share would be")
+        while True:
+            dh_exponent = rng.randrange(1, p)
+            share = config.base_powers.mat_pow(dh_exponent)
+            if share != one:
+                break
+        session = cls(
             config=config,
-            dh_exponent=rng.randrange(1, p),
+            dh_exponent=dh_exponent,
             mix_exponents=tuple(rng.randrange(0, p) for _ in range(config.u)),
         )
+        session._dh_share = share
+        return session
 
     def _expect(self, state: SessionState, call: str) -> None:
         if self.state is not state:
@@ -213,7 +237,9 @@ class SyncSession:
     def dh_message(self) -> DhMatrixMessage:
         """Our DH share W^d."""
         self._expect(SessionState.INIT, "dh_message")
-        share = self.config.base_powers.mat_pow(self.dh_exponent)
+        share = self._dh_share
+        if share is None:
+            share = self.config.base_powers.mat_pow(self.dh_exponent)
         msg = DhMatrixMessage(share)
         self.transcript.append(("send", wire_encode(msg)))
         self.state = SessionState.SENT_DH
@@ -234,6 +260,9 @@ class SyncSession:
         # exponent is: the all-zero share fixes W_s = 0 and with it the mask.
         if det(peer) == 0:
             raise MalformedFrame("peer DH share is singular")
+        # The identity share fixes W_s = I, whatever our exponent is.
+        if peer == identity(peer.field, n):
+            raise MalformedFrame("peer DH share is the identity")
         self.transcript.append(("recv", wire_encode(msg)))
         shared = mat_pow(peer, self.dh_exponent)
         self.shared_matrix = shared

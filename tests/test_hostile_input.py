@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from nnsig.errors import MalformedFrame, NnsigError, UnsupportedVersion
 from nnsig.field import Field
-from nnsig.matrix import MatrixZp, from_rows
+from nnsig.matrix import MatrixZp, from_rows, identity
 from nnsig.network import NetworkConfig
 from nnsig.scheme import (
     keygen,
@@ -132,10 +132,11 @@ def _armed_session() -> SyncSession:
     [
         MatrixZp(FIELD, ((0,) * N,) * N),
         from_rows(FIELD, [[i * j for j in range(1, N + 1)] for i in range(1, N + 1)]),
+        identity(FIELD, N),
     ],
-    ids=["zero", "rank-one"],
+    ids=["zero", "rank-one", "identity"],
 )
-def test_receive_dh_rejects_singular_shares(share):
+def test_receive_dh_rejects_degenerate_shares(share):
     session = _armed_session()
     transcript = list(session.transcript)
     with pytest.raises(MalformedFrame):

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import secrets
 import struct
 
 import pytest
 
+from nnsig import cli
 from nnsig.errors import (
     DimensionMismatch,
     MalformedEncoding,
@@ -31,6 +33,7 @@ from nnsig.scheme import (
     sign,
     verify,
 )
+from nnsig.sync import SyncConfig, SyncSession
 
 
 def _keypair(p=257, n=8, rho=4, seed=b"k", rng_seed=7, l=None):
@@ -212,6 +215,29 @@ def test_signatures_randomized_but_all_valid():
     assert s1 != s2
     assert verify(pk, theta, b"m", s1)
     assert verify(pk, theta, b"m", s2)
+
+
+def test_unseeded_calls_draw_from_the_system_csprng(monkeypatch):
+    made = []
+
+    class Recording(secrets.SystemRandom):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(secrets, "SystemRandom", Recording)
+    config = NetworkConfig(n=6, field=Field(257), rho=3, seed=b"csprng")
+    pk, sk = keygen(config)
+    assert len(made) == 1
+    theta = _theta(pk.field, pk.n)
+    s1, s2 = sign(sk, theta, b"m"), sign(sk, theta, b"m")
+    assert len(made) == 3
+    assert s1 != s2
+    assert verify(pk, theta, b"m", s1) and verify(pk, theta, b"m", s2)
+    SyncSession.create(SyncConfig(weights=sk.weights, q=theta))
+    assert len(made) == 4
+    assert isinstance(cli._rng_for(None, b"sign"), Recording)
+    assert not isinstance(cli._rng_for(b"seed", b"sign"), Recording)
 
 
 def test_tamper_scan_every_coordinate():

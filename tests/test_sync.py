@@ -18,7 +18,16 @@ from nnsig.errors import (
     UnknownTag,
 )
 from nnsig.field import Field
-from nnsig.matrix import MatrixZp, encode_matrix, from_rows, mat_add, mat_pow, vec_add, vec_mat
+from nnsig.matrix import (
+    MatrixZp,
+    encode_matrix,
+    from_rows,
+    identity,
+    mat_add,
+    mat_pow,
+    vec_add,
+    vec_mat,
+)
 from nnsig.network import NetworkConfig, SynapticWeights, build_network
 from nnsig.scheme import hash_to_field
 from nnsig.sync import (
@@ -59,6 +68,34 @@ def test_both_parties_agree():
         assert ta == tb
         assert len(ta) == config.n
         assert a.state is SessionState.DONE and b.state is SessionState.DONE
+
+
+class _ScriptedRandom(random.Random):
+    """An rng whose randrange calls return the given values in order."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self._draws = iter(draws)
+
+    def randrange(self, *args):
+        return next(self._draws)
+
+
+def test_create_redraws_a_dh_exponent_whose_share_is_the_identity():
+    field = Field(257)
+    w = from_rows(field, [[1, 1], [256, 1]])
+    assert mat_pow(w, 32) == identity(field, 2) != mat_pow(w, 16)
+    config = SyncConfig(weights=SynapticWeights(w=w), q=(3, 5), u=2)
+    # 64 and 96 are multiples of ord(W) = 32, so both draws give W^d = I.
+    a = SyncSession.create(config, _ScriptedRandom([64, 96, 5, 11, 13]))
+    b = SyncSession.create(config, random.Random(8))
+    assert a.dh_exponent == 5 and a.mix_exponents == (11, 13)
+    ta, tb = run_pair(a, b)
+    sent_share = wire_decode(a.transcript[0][1], field).matrix
+    assert sent_share == mat_pow(w, 5) != identity(field, 2)
+    assert ta == tb
+    with pytest.raises(ParameterError):
+        SyncSession.create(SyncConfig(weights=SynapticWeights(w=identity(field, 2)), q=(3, 5)))
 
 
 def test_unit_dh_exponents_share_the_base_matrix():
