@@ -1,67 +1,60 @@
 """nnsig: signature scheme over Z_p built from an unrolled binary-weight
 recurrent network, plus the bias-synchronization protocol, hardness
-estimators, and measurement helpers."""
+estimators, and measurement helpers.
 
-from .errors import (
-    DimensionMismatch,
-    InvalidStateError,
-    LengthOverflow,
-    LimitExceeded,
-    MalformedEncoding,
-    MalformedFrame,
-    NnsigError,
-    ParameterError,
-    SingularMatrixError,
-    SingularWeightsError,
-    UnknownTag,
-    UnsupportedVersion,
-)
-from .field import Field, OpCounter, count_ops, is_prime
-from .matrix import MatrixZp, PermutationMatrix
-from .network import (
-    AttentionSchedule,
-    NetworkConfig,
-    SynapticWeights,
-    UnrolledMaps,
-    binarize,
-    build_network,
-    evolve_iterative,
-    forward,
-    generate_attention,
-    invert,
-    unroll,
-)
-from .hardness import (
-    MatrixPowerInstance,
-    MatrixPowerSolution,
-    SecurityEstimate,
-    brute_force_solve,
-    classical_security_bits,
-    classical_security_ok,
-    estimate,
-    keyspace_bits,
-    make_instance,
-    quantum_security_ok,
-)
-from .scheme import (
-    PublicKey,
-    SecretKey,
-    Signature,
-    derive_keypair,
-    hash_to_field,
-    keygen,
-    parse_public_key,
-    parse_secret_key,
-    parse_signature,
-    serialize_public_key,
-    serialize_secret_key,
-    serialize_signature,
-    sign,
-    verify,
-)
-from .sync import SyncConfig, SyncSession, run_over_socket, run_pair, wire_decode, wire_encode
-from .metrics import formula_sizes, instrumented_counts, measured_sizes, op_count_report
+Submodules load on first use (PEP 562): ``import nnsig`` is cheap, and
+``nnsig.sign`` or ``nnsig.sync`` imports its home module when first read.
+"""
+
+import importlib
+
+# Eager only because perfbench/tracing.py's Tracer.install() reads
+# sys.modules["nnsig.hardness"] before anything else has asked for it.
+from . import hardness
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_PUBLIC = {
+    "errors": (
+        "DimensionMismatch", "InvalidStateError", "LengthOverflow", "LimitExceeded",
+        "MalformedEncoding", "MalformedFrame", "NnsigError", "ParameterError",
+        "SingularMatrixError", "SingularWeightsError", "UnknownTag", "UnsupportedVersion",
+    ),
+    "field": ("Field", "OpCounter", "count_ops", "is_prime"),
+    "matrix": ("MatrixZp", "PermutationMatrix"),
+    "network": (
+        "AttentionSchedule", "NetworkConfig", "SynapticWeights", "UnrolledMaps", "binarize",
+        "build_network", "evolve_iterative", "forward", "generate_attention", "invert",
+        "unroll",
+    ),
+    "hardness": (
+        "MatrixPowerInstance", "MatrixPowerSolution", "SecurityEstimate",
+        "brute_force_solve", "classical_security_bits", "classical_security_ok", "estimate",
+        "keyspace_bits", "make_instance", "quantum_security_ok",
+    ),
+    "scheme": (
+        "PublicKey", "SecretKey", "Signature", "derive_keypair", "hash_to_field", "keygen",
+        "parse_public_key", "parse_secret_key", "parse_signature", "serialize_public_key",
+        "serialize_secret_key", "serialize_signature", "sign", "verify",
+    ),
+    "sync": ("SyncConfig", "SyncSession", "run_over_socket", "run_pair", "wire_decode",
+             "wire_encode"),
+    "metrics": ("formula_sizes", "instrumented_counts", "measured_sizes", "op_count_report"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME) | set(_PUBLIC))

@@ -15,17 +15,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
-import json
 import math
 import os
-import random
-import secrets
-import socket
 import sys
 import time
 from typing import Optional
 
+# Each subcommand imports what only it uses, so a `python -m nnsig` child pays
+# for its own subcommand alone (see README § Performance, cold start).
 from .errors import (
     DimensionMismatch,
     InvalidStateError,
@@ -35,36 +32,6 @@ from .errors import (
     ParameterError,
 )
 from .field import Field, is_prime
-from .hardness import brute_force_solve, estimate, make_instance
-from .metrics import (
-    REPORTED_PROFILES,
-    discrepancies,
-    formula_sizes,
-    instrumented_counts,
-    measured_sizes,
-    op_count_report,
-)
-from .network import NetworkConfig, _sub_rng
-from .scheme import (
-    keygen,
-    parse_public_key,
-    parse_secret_key,
-    parse_signature,
-    serialize_public_key,
-    serialize_secret_key,
-    serialize_signature,
-    sign,
-    verify,
-)
-from .sync import (
-    SyncConfig,
-    SyncSession,
-    decode_shared_setup,
-    decode_theta,
-    encode_shared_setup,
-    encode_theta,
-    run_over_socket,
-)
 
 EXIT_OK = 0
 EXIT_PARAMS = 1
@@ -82,6 +49,8 @@ def _say(args, text: str) -> None:
 
 def _emit_json(args, payload: dict) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
 
 
@@ -95,14 +64,22 @@ def _master_seed(args) -> Optional[bytes]:
         raise ParameterError(f"seed must be a hex string: {exc}") from exc
 
 
-def _rng_for(master: Optional[bytes], tag: bytes) -> random.Random:
-    return secrets.SystemRandom() if master is None else _sub_rng(master, tag)
+def _rng_for(master: Optional[bytes], tag: bytes):
+    if master is None:
+        import secrets
+
+        return secrets.SystemRandom()
+    from .network import _sub_rng
+
+    return _sub_rng(master, tag)
 
 
 def _net_seed(master: Optional[bytes]) -> bytes:
     return os.urandom(32) if master is None else master + b":net"
 
 def _fingerprint(blob: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -121,15 +98,21 @@ def _parse_endpoint(text: str):
     if not sep or not host:
         raise ParameterError(f"endpoint must look like HOST:PORT, got {text!r}")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError as exc:
         raise ParameterError(f"bad port in {text!r}") from exc
+    if not 0 <= number <= 65535:
+        raise ParameterError(f"port must be 0-65535, got {number} in {text!r}")
+    return host, number
 
 
 # --- subcommands -----------------------------------------------------------
 
 
 def cmd_keygen(args) -> int:
+    from .network import NetworkConfig
+    from .scheme import keygen, serialize_public_key, serialize_secret_key
+
     master = _master_seed(args)
     field = Field(args.p)
     config = NetworkConfig(n=args.n, field=field, rho=args.rho, seed=_net_seed(master))
@@ -142,6 +125,8 @@ def cmd_keygen(args) -> int:
     fingerprint = _fingerprint(pk_blob)
     shared_path = None
     if args.export_shared:
+        from .sync import encode_shared_setup
+
         q = field.sample_vector(rng, args.n)
         _write_file(args.export_shared, encode_shared_setup(sk.weights, q))
         shared_path = args.export_shared
@@ -170,6 +155,10 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_sync(args) -> int:
+    import socket
+
+    from .sync import SyncConfig, SyncSession, decode_shared_setup, encode_theta, run_over_socket
+
     if bool(args.listen) == bool(args.connect):
         raise ParameterError("pick exactly one of --listen or --connect")
     weights, q = decode_shared_setup(_read_file(args.config))
@@ -200,6 +189,8 @@ def cmd_sync(args) -> int:
 
 
 def cmd_sign(args) -> int:
+    from .scheme import decode_theta, parse_secret_key, serialize_signature, sign
+
     sk = parse_secret_key(_read_file(args.sk))
     theta = decode_theta(sk.field, _read_file(args.theta))
     message = _read_file(args.infile)
@@ -213,6 +204,8 @@ def cmd_sign(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .scheme import decode_theta, parse_public_key, parse_signature, verify
+
     pk = parse_public_key(_read_file(args.pk))
     theta = decode_theta(pk.field, _read_file(args.theta))
     signature = parse_signature(_read_file(args.sig), pk.field)
@@ -244,6 +237,8 @@ def _resolve_params_p(args) -> int:
 
 
 def cmd_params(args) -> int:
+    from .hardness import estimate
+
     p = _resolve_params_p(args)
     est = estimate(args.n, p, args.level)
     _say(args, f"n={est.n} p={p} level={est.level}")
@@ -261,6 +256,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    from .hardness import brute_force_solve, make_instance
+
     field = Field(args.p)
     rng = _rng_for(_master_seed(args), b"attack")
     instance, planted = make_instance(args.n, field, rng)
@@ -291,6 +288,17 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .metrics import (
+        REPORTED_PROFILES,
+        discrepancies,
+        formula_sizes,
+        instrumented_counts,
+        measured_sizes,
+        op_count_report,
+    )
+    from .network import NetworkConfig
+    from .scheme import keygen, sign
+
     profile = formula_sizes(args.n, args.p, args.rho)
     master = _master_seed(args)
     field = Field(args.p)
@@ -448,7 +456,9 @@ def main(argv=None) -> int:
     except (MalformedEncoding, DimensionMismatch) as exc:
         print(f"encoding error: {exc}", file=sys.stderr)
         return EXIT_ENCODING
-    except (ConnectionError, socket.gaierror) as exc:
+    # Only cmd_sync, which imports socket, can raise gaierror; this lookup
+    # runs only once an exception has reached this clause.
+    except (ConnectionError, getattr(sys.modules.get("socket"), "gaierror", ConnectionError)) as exc:
         print(f"connection failed: {exc}", file=sys.stderr)
         return EXIT_CONNECT
     except OSError as exc:

@@ -21,6 +21,7 @@ object     magic       layout after the magic
 public     NNSIGPK1    u8 version | u64 p | u32 n | u32 l | Wbar_x | Wbar_th
 secret     NNSIGSK1    u8 version | u64 p,n,l,rho,a,b | perms | W bits | sched
 signature  NNSIGSG1    u8 version | u32 n | sigma0 | sigma1
+theta      NNSIGTH1    u32 n | theta (no version byte)
 =========  ==========  =====================================================
 
 The secret file stores the permutations as u32 index arrays, the weight
@@ -44,6 +45,7 @@ from .matrix import (
     PermutationMatrix,
     encode_elements,
     encode_matrix,
+    encode_vector,
     field_from_wire,
     mat_inv,
     mat_pow,
@@ -51,6 +53,7 @@ from .matrix import (
     read_elements,
     read_header,
     read_matrix,
+    read_vector,
     vec_add,
     vec_sub,
 )
@@ -59,6 +62,7 @@ from .network import AttentionSchedule, NetworkConfig, SynapticWeights, build_ne
 PK_MAGIC = b"NNSIGPK1"
 SK_MAGIC = b"NNSIGSK1"
 SIG_MAGIC = b"NNSIGSG1"
+THETA_MAGIC = b"NNSIGTH1"
 FORMAT_VERSION = 1
 
 _DOMAIN = b"nnsig-v1"
@@ -443,3 +447,14 @@ def parse_signature(data: bytes, field: Field) -> Signature:
     if off != len(data):
         raise MalformedEncoding("trailing bytes after signature")
     return Signature(sigma0=flat[:n], sigma1=flat[n:])
+
+
+def encode_theta(field: Field, theta) -> bytes:
+    return THETA_MAGIC + encode_vector(field, theta)
+
+
+def decode_theta(field: Field, data: bytes) -> tuple:
+    vec, end = read_vector(field, data, read_header(data, THETA_MAGIC, None, "theta"))
+    if end != len(data):
+        raise MalformedEncoding("trailing bytes after theta vector")
+    return vec

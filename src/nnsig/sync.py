@@ -59,13 +59,14 @@ from .matrix import (
     vec_add,
 )
 from .network import SynapticWeights
-from .scheme import hash_to_field
+# The theta file codec lives in scheme, beside the other file codecs; sync
+# re-exports it.
+from .scheme import THETA_MAGIC, decode_theta, encode_theta, hash_to_field  # noqa: F401
 
 TAG_DH_MATRIX = 0x01
 TAG_PUBLIC_VECTOR = 0x02
 MAX_PAYLOAD = 1 << 24  # 16 MiB: far above any real frame, low enough to stop bombs
 
-THETA_MAGIC = b"NNSIGTH1"
 SETUP_MAGIC = b"NNSIGSH1"
 SETUP_VERSION = 1
 
@@ -352,18 +353,7 @@ def run_over_socket(session: SyncSession, sock) -> tuple:
     return session.finalize(peer_public)
 
 
-# --- theta and shared-setup files ----------------------------------------------
-
-
-def encode_theta(field: Field, theta) -> bytes:
-    return THETA_MAGIC + encode_vector(field, theta)
-
-
-def decode_theta(field: Field, data: bytes) -> tuple:
-    vec, end = read_vector(field, data, read_header(data, THETA_MAGIC, None, "theta"))
-    if end != len(data):
-        raise MalformedEncoding("trailing bytes after theta vector")
-    return vec
+# --- shared-setup file ---------------------------------------------------------
 
 
 def encode_shared_setup(weights: SynapticWeights, q: tuple) -> bytes:

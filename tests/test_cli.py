@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import nnsig
-from nnsig.cli import main
+from nnsig.cli import _parse_endpoint, main
+from nnsig.errors import ParameterError
 
 
 @pytest.fixture(autouse=True)
@@ -225,6 +226,24 @@ def test_sync_flag_validation(tmp_path):
     assert main(["sync", "--config", setup, "--listen", "h:1", "--connect", "h:1"]) == 1
     assert main(["sync", "--config", setup, "--listen", "badendpoint"]) == 1
     assert main(["sync", "--config", setup, "--connect", "127.0.0.1:1", "--u", "0"]) == 1
+
+
+@pytest.mark.parametrize("mode", ["--listen", "--connect"])
+@pytest.mark.parametrize("port", ["-1", "65536", "99999"])
+def test_sync_port_out_of_range_exits_one(tmp_path, capsys, mode, port):
+    assert _keygen(tmp_path, extra=("--export-shared", str(tmp_path / "s.bin"))) == 0
+    capsys.readouterr()
+    assert main(["sync", "--config", str(tmp_path / "s.bin"), mode, f"127.0.0.1:{port}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: port must be 0-65535")
+
+
+def test_parse_endpoint_port_range():
+    assert _parse_endpoint("127.0.0.1:0") == ("127.0.0.1", 0)
+    assert _parse_endpoint("localhost:65535") == ("localhost", 65535)
+    for text in ("127.0.0.1:-1", "127.0.0.1:65536"):
+        with pytest.raises(ParameterError):
+            _parse_endpoint(text)
 
 
 def test_sync_connection_refused(tmp_path):

@@ -1,0 +1,187 @@
+"""Cold start: what a fresh interpreter loads for ``import nnsig`` and for each
+CLI subcommand, and that the lazily loaded package exposes the same API."""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nnsig
+from nnsig.field import Field
+from nnsig.network import NetworkConfig
+from nnsig.scheme import encode_theta, keygen, serialize_public_key, serialize_secret_key
+from nnsig.scheme import serialize_signature, sign
+
+PACKAGE = Path(nnsig.__file__).resolve().parent
+SUBMODULES = ("errors", "field", "hardness", "matrix", "metrics", "network", "scheme", "sync")
+# The 63 public names of the package before its submodules loaded lazily.
+PUBLIC = (
+    "AttentionSchedule DimensionMismatch Field InvalidStateError LengthOverflow LimitExceeded "
+    "MalformedEncoding MalformedFrame MatrixPowerInstance MatrixPowerSolution MatrixZp "
+    "NetworkConfig NnsigError OpCounter ParameterError PermutationMatrix PublicKey SecretKey "
+    "SecurityEstimate Signature SingularMatrixError SingularWeightsError SynapticWeights "
+    "SyncConfig SyncSession UnknownTag UnrolledMaps UnsupportedVersion binarize "
+    "brute_force_solve build_network classical_security_bits classical_security_ok count_ops "
+    "derive_keypair estimate evolve_iterative formula_sizes forward generate_attention "
+    "hash_to_field instrumented_counts invert is_prime keygen keyspace_bits make_instance "
+    "measured_sizes op_count_report parse_public_key parse_secret_key parse_signature "
+    "quantum_security_ok run_over_socket run_pair serialize_public_key serialize_secret_key "
+    "serialize_signature sign unroll verify wire_decode wire_encode"
+).split()
+
+# Runs in a fresh interpreter: nothing (``bare``), ``import nnsig`` or
+# ``python -m nnsig ARGS``, then writes the exit code and the loaded modules.
+CHILD = """
+import runpy, sys
+out, args = sys.argv[1], sys.argv[2:]
+code = 0
+if args == ["import"]:
+    import nnsig
+elif args != ["bare"]:
+    sys.argv = ["nnsig", *args]
+    try:
+        runpy.run_module("nnsig", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+modules = sorted(sys.modules)
+import json
+with open(out, "w") as fh:
+    json.dump({"code": code, "modules": modules}, fh)
+"""
+
+
+def _child(tmp_path, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = tmp_path / "modules.json"
+    subprocess.run([sys.executable, "-c", CHILD, str(out), *args], cwd=tmp_path, env=env,
+                   check=True, timeout=60, capture_output=True)
+    result = json.loads(out.read_text())
+    return result["code"], set(result["modules"])
+
+
+def _static_closure(roots):
+    """Submodules that importing ``roots`` loads, from their top-level
+    ``from .x import`` / ``from . import x`` statements."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                todo.extend([node.module] if node.module else [a.name for a in node.names])
+    return seen
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A key pair, a theta and a signature on disk, made in this process."""
+    root = tmp_path_factory.mktemp("cold")
+    field = Field(257)
+    pk, sk = keygen(NetworkConfig(n=6, field=field, rho=4, seed=b"cold"), random.Random(1))
+    theta = field.sample_vector(random.Random(2), 6)
+    (root / "k.pk").write_bytes(serialize_public_key(pk))
+    (root / "k.sk").write_bytes(serialize_secret_key(sk))
+    (root / "t.theta").write_bytes(encode_theta(field, theta))
+    (root / "m.txt").write_bytes(b"cold start")
+    sig = sign(sk, theta, b"cold start", random.Random(3))
+    (root / "m.sig").write_bytes(serialize_signature(sig, field))
+    return root
+
+
+def test_import_loads_only_errors_and_hardness(tmp_path):
+    _, bare = _child(tmp_path, "bare")
+    code, modules = _child(tmp_path, "import")
+    assert code == 0
+    loaded = {m for m in modules if m.startswith("nnsig.")}
+    assert loaded == {f"nnsig.{m}" for m in _static_closure(["errors", "hardness"])}
+    assert not {"socket", "json", "secrets", "argparse"} & (modules - bare)
+
+
+@pytest.mark.parametrize("command", ["sign", "verify"])
+def test_sign_and_verify_skip_sync_metrics_and_socket(files, command):
+    args = {
+        "sign": ["sign", "--sk", "k.sk", "--theta", "t.theta", "--in", "m.txt",
+                 "--sig-out", "out.sig", "--seed", "01"],
+        "verify": ["verify", "--pk", "k.pk", "--theta", "t.theta", "--in", "m.txt",
+                   "--sig", "m.sig"],
+    }[command]
+    code, modules = _child(files, *args)
+    assert code == 0
+    assert "nnsig.scheme" in modules
+    assert not {"nnsig.sync", "nnsig.metrics", "socket"} & modules
+
+
+@pytest.mark.parametrize("args", [
+    ["params", "--n", "26", "--p", "257"],
+    ["attack", "--n", "3", "--p", "7", "--seed", "02"],
+    ["attack", "--n", "3", "--p", "7"],
+])
+def test_params_and_attack_skip_scheme_and_sync(tmp_path, args):
+    code, modules = _child(tmp_path, *args)
+    assert code == 0
+    assert "nnsig.hardness" in modules
+    assert not {"nnsig.scheme", "nnsig.sync"} & modules
+
+
+def test_unresolvable_host_still_exits_connect(files):
+    assert _child(files, "keygen", "--n", "6", "--rho", "4", "--seed", "03",
+                  "--export-shared", "s.bin")[0] == 0
+    code, modules = _child(files, "sync", "--config", "s.bin",
+                           "--connect", "no-such-host.invalid:1")
+    assert code == 4
+    assert "socket" in modules
+
+
+def test_every_name_resolves_to_its_home_object():
+    # In a fresh interpreter, so every name goes through the lazy lookup.
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, types, nnsig\n"
+         "names = sorted(set(dir(nnsig)) | set(nnsig.__all__))\n"
+         "ok = {}\n"
+         "for name in sys.argv[1:]:\n"
+         "    value = getattr(nnsig, name)\n"
+         "    if isinstance(value, types.ModuleType):\n"
+         "        ok[name] = value is sys.modules['nnsig.' + name]\n"
+         "    else:\n"
+         "        home = sys.modules[value.__module__]\n"
+         "        ok[name] = home.__name__ != 'nnsig' and getattr(home, name) is value\n"
+         "print(json.dumps({'names': names, 'ok': ok}))\n",
+         *PUBLIC, *SUBMODULES],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        check=True, capture_output=True, text=True, timeout=60,
+    )
+    result = json.loads(fresh.stdout)
+    assert set(PUBLIC) | set(SUBMODULES) <= set(result["names"])
+    assert result["ok"] == {name: True for name in (*PUBLIC, *SUBMODULES)}
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from nnsig import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+    assert sorted(nnsig.__all__) == sorted(PUBLIC)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nnsig.no_such_name  # noqa: B018
+
+
+def test_theta_codec_is_shared_with_sync():
+    import nnsig.scheme
+    import nnsig.sync
+
+    for name in ("THETA_MAGIC", "encode_theta", "decode_theta"):
+        assert getattr(nnsig.sync, name) is getattr(nnsig.scheme, name)

@@ -279,8 +279,8 @@ def test_literal_reconstruction_rejects_honest_signature():
 def test_linear_solve_passes_tail_check():
     # The acceptance predicate is linear in sigma once the public matrices are
     # known, so inverting w_x_bar manufactures accepting vectors without the
-    # secret key.  Unforgeability therefore rests on contexts where theta (and
-    # hence the bias) is not attacker-chosen; this pins the algebraic fact.
+    # secret key.  This pins the case where the forger knows theta; the next
+    # test shows that one honest signature stands in for theta.
     pk, _ = _keypair(n=6)
     field, n, l = pk.field, pk.n, pk.l
     theta = _theta(field, n)
@@ -296,6 +296,31 @@ def test_linear_solve_passes_tail_check():
         sigma1=mat_vec(inv, vec_sub(field, x1, bias)),
     )
     assert verify(pk, theta, msg, forged)
+
+
+def test_forgery_from_one_signature_without_theta():
+    # verify compares only tail rows, (W̄_x·σ0)[n−l:] + bias[n−l:] against h0
+    # and (W̄_x·σ1)[l:] + bias[l:] against h1, so one honest signature gives
+    # away exactly the bias entries verify reads.  The forger below holds the
+    # public key and one (message, signature) pair, never theta or the bias.
+    pk, sk = _keypair(p=257, n=43, rho=10, seed=b"forge", rng_seed=11)
+    field, n, l = pk.field, pk.n, pk.l
+    theta = _theta(field, n, seed=12)
+    honest = sign(sk, theta, b"an honest message", random.Random(13))
+    assert verify(pk, theta, b"an honest message", honest)
+
+    h = hash_to_field(b"an honest message", n, field)
+    bias0 = vec_sub(field, h[:l], mat_vec(pk.w_x_bar, honest.sigma0)[n - l:])  # bias[n−l:]
+    bias1 = vec_sub(field, h[l:], mat_vec(pk.w_x_bar, honest.sigma1)[l:])  # bias[l:]
+    inv = mat_inv(pk.w_x_bar)
+    rng = random.Random(14)
+    for k in range(20):
+        message = b"forged message %d" % k
+        target = hash_to_field(message, n, field)
+        y0 = field.sample_vector(rng, n - l) + vec_sub(field, target[:l], bias0)
+        y1 = field.sample_vector(rng, l) + vec_sub(field, target[l:], bias1)
+        forged = Signature(sigma0=mat_vec(inv, y0), sigma1=mat_vec(inv, y1))
+        assert verify(pk, theta, message, forged)
 
 
 def test_random_signatures_never_accept():
