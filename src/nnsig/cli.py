@@ -3,8 +3,10 @@
 Subcommands: keygen, sync, sign, verify, params, attack, bench.
 
 Exit codes: 0 success (verify: accepted), 1 parameter rejection or guardrail,
-2 I/O failure, 3 protocol violation, 4 connection failure, 5 signature
-rejected, 6 malformed key/signature/vector encoding.
+2 I/O failure, 3 protocol violation, 4 connection failure or timeout, 5
+signature rejected, 6 malformed key/signature/vector encoding.  Under
+``--json`` a caught error is one JSON object on stderr:
+``{"error": kind, "message": text, "exit": code}``.
 
 Every subcommand that consumes randomness is deterministic under ``--seed
 <hex>`` (fallback: the NNSIG_SEED environment variable); without a seed it
@@ -14,7 +16,6 @@ draws from the operating system's CSPRNG.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -40,6 +41,10 @@ EXIT_PROTOCOL = 3
 EXIT_CONNECT = 4
 EXIT_REJECTED = 5
 EXIT_ENCODING = 6
+
+# Upper bound on --timeout (a day): above any real wait, and far inside the
+# range socket.settimeout accepts, which raises OverflowError beyond it.
+MAX_TIMEOUT = 86400.0
 
 
 def _say(args, text: str) -> None:
@@ -161,6 +166,8 @@ def cmd_sync(args) -> int:
 
     if bool(args.listen) == bool(args.connect):
         raise ParameterError("pick exactly one of --listen or --connect")
+    if not 0 < args.timeout <= MAX_TIMEOUT:
+        raise ParameterError(f"--timeout must lie in (0, {MAX_TIMEOUT:g}] seconds")
     weights, q = decode_shared_setup(_read_file(args.config))
     config = SyncConfig(weights=weights, q=q, u=args.u)
     session = SyncSession.create(config, _rng_for(_master_seed(args), b"sync"))
@@ -170,13 +177,16 @@ def cmd_sync(args) -> int:
             server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             server.bind((host, port))
             server.listen(1)
+            server.settimeout(args.timeout)
             _say(args, f"listening on {host}:{server.getsockname()[1]}")
             conn, peer = server.accept()
             with conn:
+                conn.settimeout(args.timeout)
                 theta = run_over_socket(session, conn)
     else:
         host, port = _parse_endpoint(args.connect)
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as conn:
+            conn.settimeout(args.timeout)
             conn.connect((host, port))
             theta = run_over_socket(session, conn)
     blob = encode_theta(config.field, theta)
@@ -251,7 +261,7 @@ def cmd_params(args) -> int:
         f"quantum doubled-log (2x >= {est.level}): "
         f"{'PASS' if est.quantum_ok_doubled_log else 'FAIL'}",
     )
-    _emit_json(args, dataclasses.asdict(est))
+    _emit_json(args, est._asdict())
     return EXIT_OK
 
 
@@ -395,6 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--connect", metavar="HOST:PORT")
     sy.add_argument("--theta-out", default="nnsig.theta")
     sy.add_argument("--u", type=int, default=2, help="number of mix exponents")
+    sy.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS",
+                    help="give up when connect, accept or a read waits this long (exit 4)")
     common(sy)
     sy.set_defaults(func=cmd_sync)
 
@@ -443,27 +455,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(args, exc: Exception, code: int, kind: str, prefix: str) -> int:
+    """Report a caught error on stderr, as a JSON object under --json."""
+    if args.json:
+        import json
+
+        text = json.dumps({"error": kind, "message": str(exc), "exit": code}, sort_keys=True)
+    else:
+        text = f"{prefix}: {exc}"
+    print(text, file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, LimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+        return _fail(args, exc, EXIT_PARAMS, "parameter", "error")
     except (MalformedFrame, InvalidStateError) as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
+        return _fail(args, exc, EXIT_PROTOCOL, "protocol", "protocol error")
     except (MalformedEncoding, DimensionMismatch) as exc:
-        print(f"encoding error: {exc}", file=sys.stderr)
-        return EXIT_ENCODING
+        return _fail(args, exc, EXIT_ENCODING, "encoding", "encoding error")
     # Only cmd_sync, which imports socket, can raise gaierror; this lookup
     # runs only once an exception has reached this clause.
-    except (ConnectionError, getattr(sys.modules.get("socket"), "gaierror", ConnectionError)) as exc:
-        print(f"connection failed: {exc}", file=sys.stderr)
-        return EXIT_CONNECT
+    except (ConnectionError, TimeoutError,
+            getattr(sys.modules.get("socket"), "gaierror", ConnectionError)) as exc:
+        return _fail(args, exc, EXIT_CONNECT, "connection", "connection failed")
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(args, exc, EXIT_IO, "io", "i/o error")
 
 
 def entry() -> None:

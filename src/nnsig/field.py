@@ -9,13 +9,17 @@ arbitrary-precision ints instead (see :mod:`nnsig.matrix`).
 Field operations are counted at one point: every kernel reports its work
 through :func:`tally`, which adds it to the counter that :func:`count_ops`
 installed on the calling thread, if any.
+
+Also home to :class:`Value` and :class:`FrozenValue`, the base of the
+package's value classes that validate, memoise or mutate; the plain records
+are ``typing.NamedTuple``s.  Both are cheap to import and to build, a cost
+that every ``python -m nnsig`` child pays before it does any work.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
 from typing import Iterator
 
 from .errors import ParameterError
@@ -58,14 +62,53 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass
-class OpCounter:
+class Value:
+    """Equality and repr over the attributes named in ``_fields``, in order.
+
+    Any other attribute is a memo and takes part in neither.  A mutable value
+    is unhashable; see :class:`FrozenValue`.
+    """
+
+    _fields: tuple = ()
+    __hash__ = None
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class FrozenValue(Value):
+    """A :class:`Value` that refuses attribute assignment, and so hashes.
+
+    ``__init__`` sets the fields through ``vars(self)``; a memo is written
+    with ``object.__setattr__``.
+    """
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OpCounter(Value):
     """Tally of field operations executed while the counter was active."""
 
-    muls: int = 0
-    adds: int = 0
-    subs: int = 0
-    invs: int = 0
+    _fields = ("muls", "adds", "subs", "invs")
+
+    def __init__(self, muls: int = 0, adds: int = 0, subs: int = 0, invs: int = 0) -> None:
+        self.muls, self.adds, self.subs, self.invs = muls, adds, subs, invs
 
     @property
     def total(self) -> int:
@@ -106,31 +149,28 @@ def count_ops() -> Iterator[OpCounter]:
         _tls.counter = prev
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(FrozenValue):
     """Parameters of Z_p plus element-level helpers.
 
     ``bits_per_element`` is the width needed for the largest element (p-1);
     ``element_size`` is that width rounded up to whole bytes, used by every
-    fixed-width codec in the package.
+    fixed-width codec in the package.  Only ``p`` takes part in ``==``.
     """
 
-    p: int
-    bits_per_element: int = dc_field(init=False, compare=False, repr=False)
-    element_size: int = dc_field(init=False, compare=False, repr=False)
+    _fields = ("p",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or self.p < 3:
-            raise ParameterError(f"modulus must be an odd prime >= 3, got {self.p!r}")
-        if self.p.bit_length() > MAX_MODULUS_BITS:
+    def __init__(self, p: int) -> None:
+        if not isinstance(p, int) or p < 3:
+            raise ParameterError(f"modulus must be an odd prime >= 3, got {p!r}")
+        if p.bit_length() > MAX_MODULUS_BITS:
             raise ParameterError(
-                f"modulus has {self.p.bit_length()} bits; element arithmetic is capped "
+                f"modulus has {p.bit_length()} bits; element arithmetic is capped "
                 f"at {MAX_MODULUS_BITS} bits"
             )
-        if not is_prime(self.p):
-            raise ParameterError(f"modulus {self.p} is not prime")
-        object.__setattr__(self, "bits_per_element", (self.p - 1).bit_length())
-        object.__setattr__(self, "element_size", (self.bits_per_element + 7) // 8)
+        if not is_prime(p):
+            raise ParameterError(f"modulus {p} is not prime")
+        bits = (p - 1).bit_length()
+        vars(self).update(p=p, bits_per_element=bits, element_size=(bits + 7) // 8)
 
     # --- element arithmetic ------------------------------------------------
 

@@ -14,9 +14,8 @@ the 61-bit element-arithmetic cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import DimensionMismatch, LimitExceeded, ParameterError
 from .field import Field
@@ -27,8 +26,7 @@ SOLVER_N_LIMIT = 4
 SOLVER_P_LIMIT = 31
 
 
-@dataclass(frozen=True)
-class MatrixPowerInstance:
+class MatrixPowerInstance(NamedTuple):
     """Public pair (A, B) with B = L @ A^a for some hidden (a, L)."""
 
     a_mat: MatrixZp
@@ -43,8 +41,7 @@ class MatrixPowerInstance:
         return self.a_mat.n_rows
 
 
-@dataclass(frozen=True)
-class MatrixPowerSolution:
+class MatrixPowerSolution(NamedTuple):
     exponent: int
     perm: PermutationMatrix
 
@@ -189,8 +186,7 @@ def quantum_security_ok(n: int, p: int, level: int, style: str = "grover") -> bo
     return 2 * bits >= level
 
 
-@dataclass(frozen=True)
-class SecurityEstimate:
+class SecurityEstimate(NamedTuple):
     """Classical/quantum summary for one (n, p) at a target level.
 
     quantum_bits doubles the classical log (the doubled_log orientation);

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     DimensionMismatch,
@@ -40,7 +39,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedVersion,
 )
-from .field import Field, tally
+from .field import Field, FrozenValue, tally
 
 # Decoders refuse dimensions above this (allocation guard, not a math limit).
 MAX_DECODE_DIM = 1 << 20
@@ -49,8 +48,7 @@ _DIMS = struct.Struct("<II")
 _LEN = struct.Struct("<I")
 
 
-@dataclass(frozen=True)
-class MatrixZp:
+class MatrixZp(NamedTuple):
     """Immutable dense matrix over a prime field; every entry lies in [0, p).
 
     The constructor does not reduce or check entries (``from_rows`` does);
@@ -353,16 +351,16 @@ def vec_sub(field: Field, u, v) -> tuple:
     return tuple((x - y) % p for x, y in zip(u, v))
 
 
-@dataclass(frozen=True)
-class PermutationMatrix:
+class PermutationMatrix(FrozenValue):
     """Row permutation stored as an index array: applying it maps v[i] <- v[perm[i]]."""
 
-    perm: tuple
+    _fields = ("perm",)
 
-    def __post_init__(self) -> None:
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)):
-            raise DimensionMismatch(f"{self.perm!r} is not a permutation of 0..{n - 1}")
+    def __init__(self, perm: tuple) -> None:
+        n = len(perm)
+        if sorted(perm) != list(range(n)):
+            raise DimensionMismatch(f"{perm!r} is not a permutation of 0..{n - 1}")
+        vars(self).update(perm=perm)
 
     @property
     def n(self) -> int:

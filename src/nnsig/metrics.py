@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ParameterError
 from .field import Field, count_ops
@@ -41,8 +40,7 @@ REPORTED_PROFILES = {
 }
 
 
-@dataclass(frozen=True)
-class SchemeProfile:
+class SchemeProfile(NamedTuple):
     """Closed-form size predictions for one parameter set."""
 
     n: int
@@ -54,8 +52,7 @@ class SchemeProfile:
     hash_bits: int
 
 
-@dataclass(frozen=True)
-class OpCountReport:
+class OpCountReport(NamedTuple):
     """Closed-form field-operation counts; keygen is an order bound, not exact."""
 
     n: int
@@ -91,8 +88,7 @@ def formula_sizes(n: int, p: int, rho: int) -> SchemeProfile:
     )
 
 
-@dataclass(frozen=True)
-class MeasuredSizes:
+class MeasuredSizes(NamedTuple):
     pk_bytes: int
     sk_bytes: int
     sig_bytes: int

@@ -14,11 +14,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import DimensionMismatch, ParameterError, SingularWeightsError
-from .field import Field, tally
+from .field import Field, FrozenValue, tally
 from .matrix import MatrixZp, det, identity, mat_add, mat_inv, mat_mul, mat_vec, vec_add, vec_sub
 
 # How many fresh draws sample_weights makes before giving up on a nonsingular
@@ -27,26 +26,22 @@ from .matrix import MatrixZp, det, identity, mat_add, mat_inv, mat_mul, mat_vec,
 WEIGHT_RETRY_CAP = 64
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(FrozenValue):
     """Shape, modulus, depth, and seed material for building a network."""
 
-    n: int
-    field: Field
-    rho: int
-    seed: bytes = b""
+    _fields = ("n", "field", "rho", "seed")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ParameterError(f"need at least 2 neurons, got n={self.n}")
-        if self.rho < 1:
-            raise ParameterError(f"need at least 1 recurrence step, got rho={self.rho}")
-        if not isinstance(self.seed, bytes):
+    def __init__(self, n: int, field: Field, rho: int, seed: bytes = b"") -> None:
+        if n < 2:
+            raise ParameterError(f"need at least 2 neurons, got n={n}")
+        if rho < 1:
+            raise ParameterError(f"need at least 1 recurrence step, got rho={rho}")
+        if not isinstance(seed, bytes):
             raise ParameterError("seed must be bytes")
+        vars(self).update(n=n, field=field, rho=rho, seed=seed)
 
 
-@dataclass(frozen=True)
-class SynapticWeights:
+class SynapticWeights(NamedTuple):
     """Binarized weight matrix; every entry is 1 or p-1."""
 
     w: MatrixZp
@@ -56,8 +51,7 @@ class SynapticWeights:
         return self.w.n_rows
 
 
-@dataclass(frozen=True)
-class AttentionSchedule:
+class AttentionSchedule(NamedTuple):
     """One attention vector per recurrence step, entries in [1, p-1]."""
 
     vectors: tuple
@@ -67,8 +61,7 @@ class AttentionSchedule:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class UnrolledMaps:
+class UnrolledMaps(NamedTuple):
     """Closed-form factors of the unrolled recurrence."""
 
     w_x: MatrixZp

@@ -35,11 +35,10 @@ import hashlib
 import random
 import secrets
 import struct
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import DimensionMismatch, MalformedEncoding, ParameterError
-from .field import Field
+from .field import Field, FrozenValue, Value
 from .matrix import (
     MatrixZp,
     PermutationMatrix,
@@ -108,40 +107,36 @@ def hash_to_field(message: bytes, n: int, field: Field) -> tuple:
 # --- key objects ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PublicKey:
-    field: Field
-    n: int
-    l: int
-    w_x_bar: MatrixZp
-    w_theta_bar: MatrixZp
-    _bias: Optional[tuple] = dc_field(default=None, compare=False, repr=False)
+class PublicKey(FrozenValue):
+    """The public map; ``_bias`` memoises ``Wbar_theta @ theta`` (see _theta_bias)."""
+
+    _fields = ("field", "n", "l", "w_x_bar", "w_theta_bar")
+    _bias: Optional[tuple] = None
+
+    def __init__(self, field: Field, n: int, l: int, w_x_bar: MatrixZp,
+                 w_theta_bar: MatrixZp) -> None:
+        vars(self).update(field=field, n=n, l=l, w_x_bar=w_x_bar, w_theta_bar=w_theta_bar)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     sigma0: tuple
     sigma1: tuple
 
 
-@dataclass
-class SecretKey:
-    """Private material; everything public is rebuilt from it on demand."""
+class SecretKey(Value):
+    """Private material; everything public is rebuilt from it on demand.
 
-    field: Field
-    n: int
-    l: int
-    l_x: PermutationMatrix
-    l_theta: PermutationMatrix
-    a: int
-    b: int
-    rho: int
-    weights: SynapticWeights
-    schedule: AttentionSchedule
-    _maps: Optional[object] = dc_field(default=None, compare=False, repr=False)
-    _public: Optional[PublicKey] = dc_field(default=None, compare=False, repr=False)
-    _sign_mat: Optional[MatrixZp] = dc_field(default=None, compare=False, repr=False)
-    _bias: Optional[tuple] = dc_field(default=None, compare=False, repr=False)
+    The underscored attributes are memos, left out of ``==`` and ``repr``.
+    """
+
+    _fields = ("field", "n", "l", "l_x", "l_theta", "a", "b", "rho", "weights", "schedule")
+    _maps = _public = _sign_mat = _bias = None
+
+    def __init__(self, field: Field, n: int, l: int, l_x: PermutationMatrix,
+                 l_theta: PermutationMatrix, a: int, b: int, rho: int,
+                 weights: SynapticWeights, schedule: AttentionSchedule) -> None:
+        vars(self).update(field=field, n=n, l=l, l_x=l_x, l_theta=l_theta, a=a, b=b, rho=rho,
+                          weights=weights, schedule=schedule)
 
     def unrolled_maps(self):
         if self._maps is None:

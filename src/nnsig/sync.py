@@ -30,8 +30,7 @@ import functools
 import random
 import secrets
 import struct
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     InvalidStateError,
@@ -41,7 +40,7 @@ from .errors import (
     ParameterError,
     UnknownTag,
 )
-from .field import Field
+from .field import Field, FrozenValue, Value
 from .matrix import (
     MatrixZp,
     SquaringTable,
@@ -78,13 +77,11 @@ _U64 = struct.Struct("<Q")
 # --- wire codec ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DhMatrixMessage:
+class DhMatrixMessage(NamedTuple):
     matrix: MatrixZp
 
 
-@dataclass(frozen=True)
-class PublicVectorMessage:
+class PublicVectorMessage(NamedTuple):
     field: Field
     vector: tuple
 
@@ -149,19 +146,17 @@ class SessionState(enum.Enum):
     DONE = "done"
 
 
-@dataclass(frozen=True)
-class SyncConfig:
+class SyncConfig(FrozenValue):
     """Shared setup both parties must agree on out of band."""
 
-    weights: SynapticWeights
-    q: tuple
-    u: int = 2
+    _fields = ("weights", "q", "u")
 
-    def __post_init__(self) -> None:
-        if self.u < 1:
-            raise ParameterError(f"need at least one mix exponent, got u={self.u}")
-        if len(self.q) != self.weights.n:
+    def __init__(self, weights: SynapticWeights, q: tuple, u: int = 2) -> None:
+        if u < 1:
+            raise ParameterError(f"need at least one mix exponent, got u={u}")
+        if len(q) != weights.n:
             raise ParameterError("Q length does not match the base matrix")
+        vars(self).update(weights=weights, q=q, u=u)
 
     @property
     def field(self) -> Field:
@@ -177,31 +172,28 @@ class SyncConfig:
         return SquaringTable(self.weights.w)
 
 
-@dataclass
-class SyncSession:
+class SyncSession(Value):
     """One party's view of a run; drive it dh_message -> receive_dh ->
     public_vector -> finalize."""
 
-    config: SyncConfig
-    dh_exponent: int
-    mix_exponents: tuple
-    state: SessionState = dc_field(default=SessionState.INIT, init=False)
-    transcript: List[Tuple[str, bytes]] = dc_field(default_factory=list, init=False)
-    shared_matrix: Optional[MatrixZp] = dc_field(default=None, init=False)
-    mask: Optional[tuple] = dc_field(default=None, init=False)
-    local_public: Optional[tuple] = dc_field(default=None, init=False)
-    theta: Optional[tuple] = dc_field(default=None, init=False)
+    _fields = ("config", "dh_exponent", "mix_exponents", "state", "transcript",
+               "shared_matrix", "mask", "local_public", "theta")
     # W^d, when create() already computed it to check it is not the identity.
-    _dh_share: Optional[MatrixZp] = dc_field(default=None, init=False, repr=False, compare=False)
+    _dh_share: Optional[MatrixZp] = None
 
-    def __post_init__(self) -> None:
-        p = self.config.field.p
-        if not 1 <= self.dh_exponent <= p - 1:
+    def __init__(self, config: SyncConfig, dh_exponent: int, mix_exponents: tuple) -> None:
+        p = config.field.p
+        if not 1 <= dh_exponent <= p - 1:
             raise ParameterError(f"DH exponent must lie in [1, {p - 1}]")
-        if len(self.mix_exponents) != self.config.u:
+        if len(mix_exponents) != config.u:
             raise ParameterError("need exactly u mix exponents")
-        if any(not 0 <= alpha <= p - 1 for alpha in self.mix_exponents):
+        if any(not 0 <= alpha <= p - 1 for alpha in mix_exponents):
             raise ParameterError(f"mix exponents must lie in [0, {p - 1}]")
+        self.config, self.dh_exponent, self.mix_exponents = config, dh_exponent, mix_exponents
+        self.state = SessionState.INIT
+        self.transcript: List[Tuple[str, bytes]] = []
+        self.shared_matrix: Optional[MatrixZp] = None
+        self.mask = self.local_public = self.theta = None
 
     @classmethod
     def create(cls, config: SyncConfig, rng: Optional[random.Random] = None) -> "SyncSession":

@@ -277,6 +277,84 @@ def test_sync_garbage_peer_exits_protocol(tmp_path):
     assert code == 3
 
 
+def _hold_silent_connection(port, connected, release):
+    """Connect to port (retrying while the listener comes up), then send nothing."""
+    for _ in range(200):
+        try:
+            conn = socket.create_connection(("127.0.0.1", port), timeout=5)
+            break
+        except ConnectionRefusedError:
+            time.sleep(0.02)
+    else:
+        return
+    with conn:
+        connected.set()
+        release.wait(20)
+
+
+@pytest.mark.parametrize("silent", ["client", "server", "nobody"])
+def test_sync_silent_peer_times_out(tmp_path, capsys, silent):
+    assert _keygen(tmp_path, extra=("--export-shared", str(tmp_path / "s.bin"))) == 0
+    capsys.readouterr()
+    connected, release = threading.Event(), threading.Event()
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+    if silent == "server":
+        server.listen(1)  # the kernel completes the handshake; nobody ever reads
+        mode = ["--connect", f"127.0.0.1:{port}"]
+    else:
+        server.close()  # free the port for the CLI's listener
+        mode = ["--listen", f"127.0.0.1:{port}"]
+    peer = threading.Thread(target=_hold_silent_connection, args=(port, connected, release))
+    if silent == "client":
+        peer.start()
+    start = time.monotonic()
+    try:
+        code = main(["sync", "--config", str(tmp_path / "s.bin"), *mode,
+                     "--timeout", "0.5", "--json"])
+    finally:
+        elapsed = time.monotonic() - start
+        release.set()
+        if peer.is_alive():
+            peer.join(timeout=20)
+        server.close()
+    assert code == 4
+    assert 0.4 < elapsed < 10
+    assert connected.is_set() == (silent == "client")
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "connection" and error["exit"] == 4
+    assert "timed out" in error["message"]
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1e9"])
+def test_sync_rejects_bad_timeouts(tmp_path, timeout):
+    assert _keygen(tmp_path, extra=("--export-shared", str(tmp_path / "s.bin"))) == 0
+    assert main(["sync", "--config", str(tmp_path / "s.bin"), "--connect", "127.0.0.1:1",
+                 "--timeout", timeout]) == 1
+
+
+@pytest.mark.parametrize("argv, code, kind", [
+    (["keygen", "--p", "4", "--n", "4"], 1, "parameter"),
+    (["sign", "--sk", "nope.sk", "--theta", "nope.theta", "--in", "nope.txt"], 2, "io"),
+    (["verify", "--pk", "junk", "--theta", "junk", "--in", "junk", "--sig", "junk"], 6,
+     "encoding"),
+])
+def test_json_errors_are_one_json_object(tmp_path, capsys, argv, code, kind):
+    (tmp_path / "junk").write_bytes(b"not a key")
+    assert main([*argv, "--json"]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert set(error) == {"error", "message", "exit"}
+    assert error["error"] == kind and error["exit"] == code and error["message"]
+    # Without --json the same failure is one plain-text line.
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and not err.startswith("{")
+
+
 def test_sync_mismatched_moduli(tmp_path):
     assert _keygen(tmp_path, extra=("--export-shared", str(tmp_path / "a.bin"))) == 0
     assert main([

@@ -36,6 +36,10 @@ PUBLIC = (
     "serialize_signature sign unroll verify wire_decode wire_encode"
 ).split()
 
+# Standard modules no child may load: dataclasses pulls in inspect, and the two
+# cost each child more than a small subcommand's own work.
+HEAVY = {"dataclasses", "inspect"}
+
 # Runs in a fresh interpreter: nothing (``bare``), ``import nnsig`` or
 # ``python -m nnsig ARGS``, then writes the exit code and the loaded modules.
 CHILD = """
@@ -106,6 +110,7 @@ def test_import_loads_only_errors_and_hardness(tmp_path):
     loaded = {m for m in modules if m.startswith("nnsig.")}
     assert loaded == {f"nnsig.{m}" for m in _static_closure(["errors", "hardness"])}
     assert not {"socket", "json", "secrets", "argparse"} & (modules - bare)
+    assert not HEAVY & modules
 
 
 @pytest.mark.parametrize("command", ["sign", "verify"])
@@ -119,7 +124,7 @@ def test_sign_and_verify_skip_sync_metrics_and_socket(files, command):
     code, modules = _child(files, *args)
     assert code == 0
     assert "nnsig.scheme" in modules
-    assert not {"nnsig.sync", "nnsig.metrics", "socket"} & modules
+    assert not {"nnsig.sync", "nnsig.metrics", "socket", *HEAVY} & modules
 
 
 @pytest.mark.parametrize("args", [
@@ -131,16 +136,30 @@ def test_params_and_attack_skip_scheme_and_sync(tmp_path, args):
     code, modules = _child(tmp_path, *args)
     assert code == 0
     assert "nnsig.hardness" in modules
-    assert not {"nnsig.scheme", "nnsig.sync"} & modules
+    assert not {"nnsig.scheme", "nnsig.sync", *HEAVY} & modules
 
 
 def test_unresolvable_host_still_exits_connect(files):
-    assert _child(files, "keygen", "--n", "6", "--rho", "4", "--seed", "03",
-                  "--export-shared", "s.bin")[0] == 0
+    code, modules = _child(files, "keygen", "--n", "6", "--rho", "4", "--seed", "03",
+                           "--export-shared", "s.bin")
+    assert code == 0
+    assert not HEAVY & modules
     code, modules = _child(files, "sync", "--config", "s.bin",
                            "--connect", "no-such-host.invalid:1")
     assert code == 4
     assert "socket" in modules
+    assert not HEAVY & modules
+
+
+@pytest.mark.parametrize("args", [
+    ["bench", "--n", "6", "--rho", "4", "--seed", "04"],
+    ["bench", "--n", "6", "--rho", "4", "--seed", "04", "--instrument", "--json"],
+])
+def test_bench_skips_heavy_modules(tmp_path, args):
+    code, modules = _child(tmp_path, *args)
+    assert code == 0
+    assert "nnsig.metrics" in modules
+    assert not HEAVY & modules
 
 
 def test_every_name_resolves_to_its_home_object():
