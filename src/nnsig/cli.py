@@ -111,6 +111,27 @@ def _parse_endpoint(text: str):
     return host, number
 
 
+class _Deadline:
+    """A connected socket's ``sendall`` and ``recv``, each waiting at most the
+    time left before one deadline, so a trickling peer cannot stretch the run."""
+
+    def __init__(self, sock, seconds: float) -> None:
+        self._sock, self._until = sock, time.monotonic() + seconds
+
+    def _armed(self):
+        left = self._until - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("timed out")
+        self._sock.settimeout(left)
+        return self._sock
+
+    def sendall(self, data: bytes) -> None:
+        self._armed().sendall(data)
+
+    def recv(self, count: int) -> bytes:
+        return self._armed().recv(count)
+
+
 # --- subcommands -----------------------------------------------------------
 
 
@@ -181,14 +202,13 @@ def cmd_sync(args) -> int:
             _say(args, f"listening on {host}:{server.getsockname()[1]}")
             conn, peer = server.accept()
             with conn:
-                conn.settimeout(args.timeout)
-                theta = run_over_socket(session, conn)
+                theta = run_over_socket(session, _Deadline(conn, args.timeout))
     else:
         host, port = _parse_endpoint(args.connect)
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as conn:
             conn.settimeout(args.timeout)
             conn.connect((host, port))
-            theta = run_over_socket(session, conn)
+            theta = run_over_socket(session, _Deadline(conn, args.timeout))
     blob = encode_theta(config.field, theta)
     _write_file(args.theta_out, blob)
     digest = _fingerprint(blob)
@@ -406,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--theta-out", default="nnsig.theta")
     sy.add_argument("--u", type=int, default=2, help="number of mix exponents")
     sy.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS",
-                    help="give up when connect, accept or a read waits this long (exit 4)")
+                    help="give up when connect or accept waits this long, or when the "
+                         "exchange after it takes longer (exit 4)")
     common(sy)
     sy.set_defaults(func=cmd_sync)
 

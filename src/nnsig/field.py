@@ -28,17 +28,18 @@ from .errors import ParameterError
 # on raw integers and are not bound by this cap.
 MAX_MODULUS_BITS = 61
 
-# Deterministic Miller-Rabin witness set for n < 3.3e24 (covers the 61-bit cap
-# with a wide margin); the extended set is used above that bound so primality
-# stays a pure function of the input.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes are a deterministic Miller-Rabin witness set below
+# psi_13 ~ 3.3e24 (Sorenson & Webster, 2015), which covers the 61-bit cap; the
+# wider set above it keeps primality a pure function of the input.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_WITNESSES_WIDE = _MR_WITNESSES + (
-    41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
+    43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
 )
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality check; deterministic for every modulus we accept."""
+    """Miller-Rabin: deterministic below psi_13, which covers every modulus the
+    field accepts; a 30-base strong-probable-prime test above it."""
     if n < 2:
         return False
     witnesses = _MR_WITNESSES if n < 3_317_044_064_679_887_385_961_981 else _MR_WITNESSES_WIDE

@@ -22,15 +22,16 @@ signature files and wire frames: a matrix is ``u32 rows | u32 cols | entries``
 and a vector is ``u32 len | entries``, each entry ``field.element_size`` bytes.
 Every element run in every format goes through :func:`encode_elements` and
 :func:`read_elements`; every file starts with a magic (and, except the theta
-file, a version byte) checked by :func:`read_header`; a modulus read from a
-file becomes a :class:`Field` through :func:`field_from_wire`.
+file, a version byte) and its fixed header fields, checked and unpacked by
+:func:`read_header`, and ends where :func:`expect_end` says; a modulus read
+from a file becomes a :class:`Field` through :func:`field_from_wire`.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -46,6 +47,7 @@ MAX_DECODE_DIM = 1 << 20
 
 _DIMS = struct.Struct("<II")
 _LEN = struct.Struct("<I")
+_NO_FIELDS = struct.Struct("<")
 
 
 class MatrixZp(NamedTuple):
@@ -417,19 +419,28 @@ def field_from_wire(p: int) -> Field:
         raise MalformedEncoding(f"bad modulus in file: {exc}") from exc
 
 
-def read_header(data: bytes, magic: bytes, version: Optional[int], kind: str) -> int:
-    """Check a file's magic and version byte; returns the offset after them.
+def read_header(data: bytes, magic: bytes, version: Optional[int], kind: str,
+                fields: struct.Struct = _NO_FIELDS) -> Tuple[tuple, int]:
+    """Check a file's magic and version byte, then unpack its fixed ``fields``.
 
-    ``version=None`` means the format has no version byte.
+    Returns (fields, offset after them); ``version=None`` means the format has
+    no version byte.  The version is checked first: another version's header
+    may have another length.
     """
-    end = len(magic) + (version is not None)
-    if len(data) < end:
-        raise MalformedEncoding(f"{kind} file shorter than its header")
+    start = len(magic) + (version is not None)
     if data[: len(magic)] != magic:
         raise MalformedEncoding(f"bad {kind} magic {data[:len(magic)]!r}")
-    if version is not None and data[len(magic)] != version:
+    if version is not None and len(data) > len(magic) and data[len(magic)] != version:
         raise UnsupportedVersion(f"{kind} format version {data[len(magic)]} not supported")
-    return end
+    if len(data) < start + fields.size:
+        raise MalformedEncoding(f"{kind} file truncated in header")
+    return fields.unpack_from(data, start), start + fields.size
+
+
+def expect_end(data: bytes, offset: int, what: str) -> None:
+    """Refuse any bytes after the last field of a file or payload."""
+    if offset != len(data):
+        raise MalformedEncoding(f"trailing bytes after {what}")
 
 
 def encode_elements(field: Field, values) -> bytes:
@@ -470,8 +481,7 @@ def read_vector(field: Field, buf: bytes, offset: int = 0) -> tuple:
 
 def decode_vector(field: Field, buf: bytes) -> tuple:
     v, end = read_vector(field, buf, 0)
-    if end != len(buf):
-        raise MalformedEncoding("trailing bytes after vector")
+    expect_end(buf, end, "vector")
     return v
 
 
@@ -494,6 +504,5 @@ def read_matrix(field: Field, buf: bytes, offset: int = 0):
 
 def decode_matrix(field: Field, buf: bytes) -> MatrixZp:
     m, end = read_matrix(field, buf, 0)
-    if end != len(buf):
-        raise MalformedEncoding("trailing bytes after matrix")
+    expect_end(buf, end, "matrix")
     return m

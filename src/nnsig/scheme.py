@@ -15,17 +15,20 @@ the signing equation and rejects honestly produced signatures.
 
 File formats (all little-endian, fixed element width from the field):
 
-=========  ==========  =====================================================
-object     magic       layout after the magic
-=========  ==========  =====================================================
-public     NNSIGPK1    u8 version | u64 p | u32 n | u32 l | Wbar_x | Wbar_th
-secret     NNSIGSK1    u8 version | u64 p,n,l,rho,a,b | perms | W bits | sched
-signature  NNSIGSG1    u8 version | u32 n | sigma0 | sigma1
-theta      NNSIGTH1    u32 n | theta (no version byte)
-=========  ==========  =====================================================
+=========  ========  =======  ==========================  ======================
+object     magic     version  fixed header                body
+=========  ========  =======  ==========================  ======================
+public     NNSIGPK1  u8       ``<QII`` p, n, l            Wbar_x | Wbar_theta
+secret     NNSIGSK1  u8       ``<6Q`` p, n, l, rho, a, b  perms | W bits | sched
+signature  NNSIGSG1  u8       ``<I`` n                    sigma0 | sigma1
+theta      NNSIGTH1  (none)   (none)                      theta vector
+=========  ========  =======  ==========================  ======================
 
-The secret file stores the permutations as u32 index arrays, the weight
-matrix bit-packed one bit per entry (0 -> 1, 1 -> p-1), and the attention
+Each fixed header is one ``struct.Struct`` below, shared by the serializer
+and the parser.  The secret file stores both permutations as one run of 2n
+u32 indices, the weight matrix as one little-endian integer of
+``ceil(n^2 / 8)`` bytes whose bit ``r*n + c`` is entry (r, c) (0 -> 1,
+1 -> p-1; the padding bits above bit n^2 must be zero), and the attention
 schedule as rho raw element vectors.
 """
 
@@ -45,6 +48,7 @@ from .matrix import (
     encode_elements,
     encode_matrix,
     encode_vector,
+    expect_end,
     field_from_wire,
     mat_inv,
     mat_pow,
@@ -63,6 +67,11 @@ SK_MAGIC = b"NNSIGSK1"
 SIG_MAGIC = b"NNSIGSG1"
 THETA_MAGIC = b"NNSIGTH1"
 FORMAT_VERSION = 1
+
+# The fixed header fields after each file's magic and version byte.
+_PK_HEADER = struct.Struct("<QII")  # p, n, l
+_SK_HEADER = struct.Struct("<6Q")  # p, n, l, rho, a, b
+_SIG_HEADER = struct.Struct("<I")  # n
 
 _DOMAIN = b"nnsig-v1"
 _U32 = struct.Struct("<I")
@@ -309,29 +318,20 @@ def serialize_public_key(pk: PublicKey) -> bytes:
     return (
         PK_MAGIC
         + bytes([FORMAT_VERSION])
-        + _U64.pack(pk.field.p)
-        + _U32.pack(pk.n)
-        + _U32.pack(pk.l)
+        + _PK_HEADER.pack(pk.field.p, pk.n, pk.l)
         + encode_matrix(pk.w_x_bar)
         + encode_matrix(pk.w_theta_bar)
     )
 
 
 def parse_public_key(data: bytes) -> PublicKey:
-    off = read_header(data, PK_MAGIC, FORMAT_VERSION, "public-key")
-    if len(data) < off + 16:
-        raise MalformedEncoding("public-key file truncated in header")
-    (p,) = _U64.unpack_from(data, off)
-    (n,) = _U32.unpack_from(data, off + 8)
-    (l,) = _U32.unpack_from(data, off + 12)
-    off += 16
+    (p, n, l), off = read_header(data, PK_MAGIC, FORMAT_VERSION, "public-key", _PK_HEADER)
     field = field_from_wire(p)
     if n < 2 or not 1 <= l < n:
         raise MalformedEncoding(f"bad public-key dimensions n={n}, l={l}")
     w_x_bar, off = read_matrix(field, data, off)
     w_theta_bar, off = read_matrix(field, data, off)
-    if off != len(data):
-        raise MalformedEncoding("trailing bytes after public key")
+    expect_end(data, off, "public key")
     for m, name in ((w_x_bar, "w_x"), (w_theta_bar, "w_theta")):
         if m.n_rows != n or m.n_cols != n:
             raise MalformedEncoding(f"{name} matrix is {m.n_rows}x{m.n_cols}, expected {n}x{n}")
@@ -340,80 +340,56 @@ def parse_public_key(data: bytes) -> PublicKey:
 
 def serialize_secret_key(sk: SecretKey) -> bytes:
     n = sk.n
-    out = [
+    # Weight entry k = r*n + c is bit k of one little-endian int: 0 for 1, 1 for p-1.
+    bits = "".join(["0" if x == 1 else "1" for row in sk.weights.w.rows for x in row])
+    return b"".join([
         SK_MAGIC,
         bytes([FORMAT_VERSION]),
-        _U64.pack(sk.field.p),
-        _U64.pack(n),
-        _U64.pack(sk.l),
-        _U64.pack(sk.rho),
-        _U64.pack(sk.a),
-        _U64.pack(sk.b),
-    ]
-    for perm in (sk.l_x, sk.l_theta):
-        out.extend(_U32.pack(t) for t in perm.perm)
-    packed = bytearray((n * n + 7) // 8)
-    idx = 0
-    for row in sk.weights.w.rows:
-        for x in row:
-            if x != 1:
-                packed[idx >> 3] |= 1 << (idx & 7)
-            idx += 1
-    out.append(bytes(packed))
-    out.append(encode_elements(sk.field, [x for vec in sk.schedule.vectors for x in vec]))
-    return b"".join(out)
+        _SK_HEADER.pack(sk.field.p, n, sk.l, sk.rho, sk.a, sk.b),
+        struct.pack(f"<{2 * n}I", *sk.l_x.perm, *sk.l_theta.perm),
+        int(bits[::-1], 2).to_bytes((n * n + 7) // 8, "little"),
+        encode_elements(sk.field, [x for vec in sk.schedule.vectors for x in vec]),
+    ])
 
 
 def parse_secret_key(data: bytes) -> SecretKey:
-    off = read_header(data, SK_MAGIC, FORMAT_VERSION, "secret-key")
-    if len(data) < off + 48:
-        raise MalformedEncoding("secret-key file truncated in header")
-    p, n, l, rho, a, b = struct.unpack_from("<6Q", data, off)
-    off += 48
+    (p, n, l, rho, a, b), off = read_header(
+        data, SK_MAGIC, FORMAT_VERSION, "secret-key", _SK_HEADER
+    )
     field = field_from_wire(p)
     if n < 2 or not 1 <= l < n or rho < 1:
         raise MalformedEncoding(f"bad secret-key dimensions n={n}, l={l}, rho={rho}")
     if not (2 <= a <= p - 2 and 2 <= b <= p - 2):
         raise MalformedEncoding("mask exponent out of range in secret key")
-    perms = []
-    for _ in range(2):
-        if len(data) < off + 4 * n:
-            raise MalformedEncoding("secret-key file truncated in permutations")
-        idx = struct.unpack_from(f"<{n}I", data, off)
-        off += 4 * n
-        try:
-            perms.append(PermutationMatrix(idx))
-        except DimensionMismatch as exc:
-            raise MalformedEncoding(f"bad permutation in secret key: {exc}") from exc
-    packed_len = (n * n + 7) // 8
-    if len(data) < off + packed_len:
-        raise MalformedEncoding("secret-key file truncated in weights")
-    packed = data[off : off + packed_len]
-    off += packed_len
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            idx = r * n + c
-            bit = (packed[idx >> 3] >> (idx & 7)) & 1
-            row.append(p - 1 if bit else 1)
-        rows.append(tuple(row))
-    weights = SynapticWeights(w=MatrixZp(field, tuple(rows)))
-    flat, off = read_elements(field, data, off, rho * n, "schedule")
+    perms_end = off + 8 * n
+    weights_end = perms_end + (n * n + 7) // 8
+    if len(data) < weights_end:
+        raise MalformedEncoding("secret-key file truncated in permutations or weights")
+    idx = struct.unpack_from(f"<{2 * n}I", data, off)
+    try:
+        l_x, l_theta = PermutationMatrix(idx[:n]), PermutationMatrix(idx[n:])
+    except DimensionMismatch as exc:
+        raise MalformedEncoding(f"bad permutation in secret key: {exc}") from exc
+    bits = int.from_bytes(data[perms_end:weights_end], "little")
+    if bits >> n * n:
+        raise MalformedEncoding("nonzero padding bits after the secret-key weights")
+    entry = {"0": 1, "1": p - 1}.__getitem__
+    flat_bits = format(bits, f"0{n * n}b")[::-1]
+    rows = tuple(tuple(map(entry, flat_bits[i : i + n])) for i in range(0, n * n, n))
+    flat, off = read_elements(field, data, weights_end, rho * n, "schedule")
     if 0 in flat:
         raise MalformedEncoding("schedule entry 0 outside [1, p-1]")
-    if off != len(data):
-        raise MalformedEncoding("trailing bytes after secret key")
+    expect_end(data, off, "secret key")
     return SecretKey(
         field=field,
         n=n,
         l=l,
-        l_x=perms[0],
-        l_theta=perms[1],
+        l_x=l_x,
+        l_theta=l_theta,
         a=a,
         b=b,
         rho=rho,
-        weights=weights,
+        weights=SynapticWeights(w=MatrixZp(field, rows)),
         schedule=AttentionSchedule(tuple(flat[i : i + n] for i in range(0, len(flat), n))),
     )
 
@@ -425,22 +401,17 @@ def serialize_signature(sig: Signature, field: Field) -> bytes:
     return (
         SIG_MAGIC
         + bytes([FORMAT_VERSION])
-        + _U32.pack(n)
+        + _SIG_HEADER.pack(n)
         + encode_elements(field, (*sig.sigma0, *sig.sigma1))
     )
 
 
 def parse_signature(data: bytes, field: Field) -> Signature:
-    off = read_header(data, SIG_MAGIC, FORMAT_VERSION, "signature")
-    if len(data) < off + 4:
-        raise MalformedEncoding("signature file truncated in header")
-    (n,) = _U32.unpack_from(data, off)
-    off += 4
+    (n,), off = read_header(data, SIG_MAGIC, FORMAT_VERSION, "signature", _SIG_HEADER)
     if n < 2:
         raise MalformedEncoding(f"bad signature length n={n}")
     flat, off = read_elements(field, data, off, 2 * n, "signature")
-    if off != len(data):
-        raise MalformedEncoding("trailing bytes after signature")
+    expect_end(data, off, "signature")
     return Signature(sigma0=flat[:n], sigma1=flat[n:])
 
 
@@ -449,7 +420,7 @@ def encode_theta(field: Field, theta) -> bytes:
 
 
 def decode_theta(field: Field, data: bytes) -> tuple:
-    vec, end = read_vector(field, data, read_header(data, THETA_MAGIC, None, "theta"))
-    if end != len(data):
-        raise MalformedEncoding("trailing bytes after theta vector")
+    _, off = read_header(data, THETA_MAGIC, None, "theta")
+    vec, off = read_vector(field, data, off)
+    expect_end(data, off, "theta vector")
     return vec

@@ -49,6 +49,7 @@ from .matrix import (
     det,
     encode_matrix,
     encode_vector,
+    expect_end,
     field_from_wire,
     identity,
     mat_pow,
@@ -70,8 +71,7 @@ SETUP_MAGIC = b"NNSIGSH1"
 SETUP_VERSION = 1
 
 _HDR = struct.Struct("<BI")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
+_SETUP_HEADER = struct.Struct("<QI")  # p, n
 
 
 # --- wire codec ---------------------------------------------------------------
@@ -353,25 +353,18 @@ def encode_shared_setup(weights: SynapticWeights, q: tuple) -> bytes:
     return (
         SETUP_MAGIC
         + bytes([SETUP_VERSION])
-        + _U64.pack(field.p)
-        + _U32.pack(weights.n)
+        + _SETUP_HEADER.pack(field.p, weights.n)
         + encode_matrix(weights.w)
         + encode_vector(field, q)
     )
 
 
 def decode_shared_setup(data: bytes) -> Tuple[SynapticWeights, tuple]:
-    off = read_header(data, SETUP_MAGIC, SETUP_VERSION, "shared-setup")
-    if len(data) < off + 12:
-        raise MalformedEncoding("shared-setup file truncated in header")
-    (p,) = _U64.unpack_from(data, off)
-    (n,) = _U32.unpack_from(data, off + 8)
-    off += 12
+    (p, n), off = read_header(data, SETUP_MAGIC, SETUP_VERSION, "shared-setup", _SETUP_HEADER)
     field = field_from_wire(p)
     w, off = read_matrix(field, data, off)
     q, off = read_vector(field, data, off)
-    if off != len(data):
-        raise MalformedEncoding("trailing bytes after shared setup")
+    expect_end(data, off, "shared setup")
     if w.n_rows != n or w.n_cols != n or len(q) != n:
         raise MalformedEncoding("shared-setup dimensions are inconsistent")
     if any(x not in (1, p - 1) for row in w.rows for x in row):

@@ -277,15 +277,20 @@ def test_sync_garbage_peer_exits_protocol(tmp_path):
     assert code == 3
 
 
-def _hold_silent_connection(port, connected, release):
-    """Connect to port (retrying while the listener comes up), then send nothing."""
+def _connect_when_listening(port):
+    """Connect to port, retrying while the listener comes up; None if it never does."""
     for _ in range(200):
         try:
-            conn = socket.create_connection(("127.0.0.1", port), timeout=5)
-            break
+            return socket.create_connection(("127.0.0.1", port), timeout=5)
         except ConnectionRefusedError:
             time.sleep(0.02)
-    else:
+    return None
+
+
+def _hold_silent_connection(port, connected, release):
+    """Connect to port (retrying while the listener comes up), then send nothing."""
+    conn = _connect_when_listening(port)
+    if conn is None:
         return
     with conn:
         connected.set()
@@ -325,6 +330,42 @@ def test_sync_silent_peer_times_out(tmp_path, capsys, silent):
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "connection" and error["exit"] == 4
     assert "timed out" in error["message"]
+
+
+def _trickle_dh_frame(port, stop):
+    """Connect to port, send a DH frame header, then one payload byte every 0.2 s."""
+    conn = _connect_when_listening(port)
+    if conn is None:
+        return
+    with conn:
+        try:
+            conn.sendall(struct.pack("<BI", 0x01, 8 + 36 * 2))
+            while not stop.wait(0.2):
+                conn.sendall(b"\x00")
+        except OSError:
+            pass
+
+
+def test_sync_trickling_peer_hits_the_exchange_deadline(tmp_path, capsys):
+    assert _keygen(tmp_path, extra=("--export-shared", str(tmp_path / "s.bin"))) == 0
+    capsys.readouterr()
+    port = _free_port()
+    stop = threading.Event()
+    peer = threading.Thread(target=_trickle_dh_frame, args=(port, stop))
+    peer.start()
+    start = time.monotonic()
+    try:
+        code = main(["sync", "--config", str(tmp_path / "s.bin"),
+                     "--listen", f"127.0.0.1:{port}", "--timeout", "1", "--json"])
+    finally:
+        elapsed = time.monotonic() - start
+        stop.set()
+        peer.join(timeout=20)
+    assert not peer.is_alive()
+    assert code == 4
+    assert elapsed < 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "connection" and "timed out" in error["message"]
 
 
 @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1e9"])
@@ -399,6 +440,12 @@ def test_params_human_output(capsys):
     assert "classical search bits : 872.1617" in out
     assert out.count("PASS") == 3
     assert "FAIL" not in out
+
+
+def test_params_rejects_a_strong_pseudoprime_modulus(capsys):
+    # 399165290221 * 798330580441 passes Miller-Rabin to the first 12 prime bases.
+    assert main(["params", "--n", "26", "--p", "318665857834031151167461"]) == 1
+    assert "not prime" in capsys.readouterr().err
 
 
 def test_attack_recovers_plant(capsys):

@@ -115,6 +115,16 @@ def test_is_prime_agrees_with_trial_division():
         assert is_prime(n) == slow(n), n
 
 
+# psi_12: the least composite that is a strong probable prime to each of the
+# first 12 prime bases (Sorenson & Webster, 2015).
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_rejects_the_twelve_base_strong_pseudoprime():
+    assert 399165290221 * 798330580441 == PSI_12
+    assert is_prime(PSI_12) is False
+
+
 @pytest.mark.parametrize(
     "p,bits,size",
     [(3, 2, 1), (5, 3, 1), (257, 9, 2), (7919, 13, 2), ((1 << 61) - 1, 61, 8)],

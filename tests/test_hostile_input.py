@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nnsig.errors import MalformedFrame, NnsigError, UnsupportedVersion
+from nnsig.errors import MalformedEncoding, MalformedFrame, NnsigError, UnsupportedVersion
 from nnsig.field import Field
 from nnsig.matrix import MatrixZp, from_rows, identity
 from nnsig.network import NetworkConfig
@@ -158,3 +158,46 @@ def test_shared_setup_bad_version_is_unsupported_version():
     blob[len(b"NNSIGSH1")] = 7
     with pytest.raises(UnsupportedVersion):
         decode_shared_setup(bytes(blob))
+
+
+def _file_blobs(n: int) -> dict:
+    """One valid blob per file format at p=257 and dimension n, with its parser."""
+    pk, sk = keygen(NetworkConfig(n=n, field=FIELD, rho=3, seed=b"edges"), random.Random(8))
+    theta = FIELD.sample_vector(random.Random(9), n)
+    signature = sign(sk, theta, b"edge message", random.Random(10))
+    return {
+        "public-key": (serialize_public_key(pk), parse_public_key),
+        "secret-key": (serialize_secret_key(sk), parse_secret_key),
+        "signature": (
+            serialize_signature(signature, FIELD), lambda data: parse_signature(data, FIELD)
+        ),
+        "theta": (encode_theta(FIELD, theta), lambda data: decode_theta(FIELD, data)),
+        "shared-setup": (
+            encode_shared_setup(sk.weights, FIELD.sample_vector(random.Random(11), n)),
+            decode_shared_setup,
+        ),
+    }
+
+
+EDGE_BLOBS = _file_blobs(4)
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_BLOBS))
+def test_every_prefix_and_one_extra_byte_raise_malformed_encoding(kind):
+    blob, parse = EDGE_BLOBS[kind]
+    parse(blob)
+    for end in range(len(blob)):
+        with pytest.raises(MalformedEncoding):
+            parse(blob[:end])
+    with pytest.raises(MalformedEncoding, match="trailing bytes"):
+        parse(blob + b"\x00")
+
+
+def test_secret_key_padding_bits_are_rejected():
+    _, sk = keygen(NetworkConfig(n=26, field=FIELD, rho=3, seed=b"pad"), random.Random(12))
+    blob = bytearray(serialize_secret_key(sk))
+    # 676 weight bits fill 85 bytes and leave 4 padding bits at the top of the last.
+    last_weight_byte = len(b"NNSIGSK1") + 1 + 48 + 8 * 26 + 85 - 1
+    blob[last_weight_byte] |= 0x80
+    with pytest.raises(MalformedEncoding, match="padding"):
+        parse_secret_key(bytes(blob))
