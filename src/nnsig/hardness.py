@@ -8,18 +8,21 @@ count the security estimate is built on; the solvers here are reference
 oracles and are guardrailed to toy sizes.
 
 Estimates work on raw integers in the log domain, so they are not bound by
-the 61-bit element-arithmetic cap.
+the 61-bit element-arithmetic cap.  ``matrix`` is imported by the functions
+that use it, so ``import nnsig`` and the ``params`` command never load it.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 from .errors import DimensionMismatch, LimitExceeded, ParameterError
-from .field import Field
-from .matrix import MatrixZp, PermutationMatrix, mat_mul, mat_pow, random_invertible
+
+if TYPE_CHECKING:
+    from .field import Field
+    from .matrix import MatrixZp, PermutationMatrix
 
 # Exhaustive-search guardrails: (p-1) * n! candidates stays below 750 here.
 SOLVER_N_LIMIT = 4
@@ -48,6 +51,8 @@ class MatrixPowerSolution(NamedTuple):
 
 def make_instance(n: int, field: Field, rng) -> Tuple[MatrixPowerInstance, MatrixPowerSolution]:
     """Plant a uniform (a, L) into a fresh invertible A."""
+    from .matrix import PermutationMatrix, mat_pow, random_invertible
+
     if n < 2:
         raise ParameterError("instances need n >= 2")
     a_mat = random_invertible(field, n, rng)
@@ -61,6 +66,8 @@ def make_instance(n: int, field: Field, rng) -> Tuple[MatrixPowerInstance, Matri
 
 
 def verify_solution(instance: MatrixPowerInstance, solution: MatrixPowerSolution) -> bool:
+    from .matrix import mat_pow
+
     candidate = solution.perm.permute_rows(mat_pow(instance.a_mat, solution.exponent))
     return candidate.rows == instance.b_mat.rows
 
@@ -81,6 +88,8 @@ def _search(
     one a single mat_mul.  Hits come in the order of exponents, then of perms.
     perms is only materialized once the guardrails have passed.
     """
+    from .matrix import mat_mul, mat_pow
+
     _check_limits(instance, n_limit, p_limit)
     perms = tuple(perms)
     a_mat, target = instance.a_mat, instance.b_mat.rows
@@ -99,6 +108,8 @@ def brute_force_solve(
     p_limit: int = SOLVER_P_LIMIT,
 ) -> List[MatrixPowerSolution]:
     """Enumerate every (a, L) in [1, p-1] x S_n; returns all hits, order-normalized."""
+    from .matrix import PermutationMatrix
+
     perms = permutations(range(instance.n))
     return [
         MatrixPowerSolution(exponent=exponent, perm=PermutationMatrix(perm))
@@ -113,6 +124,8 @@ def solve_with_exponent(
     p_limit: int = SOLVER_P_LIMIT,
 ) -> List[PermutationMatrix]:
     """Residual search with a fixed: enumerate the n! row permutations."""
+    from .matrix import PermutationMatrix
+
     perms = permutations(range(instance.n))
     return [
         PermutationMatrix(perm)

@@ -4,18 +4,28 @@ Matrices are immutable row-major tuples of plain ints in ``[0, p)``; vectors
 are plain tuples.  Inner products accumulate exact integer sums and reduce
 once at the end.
 
-``mat_mul``, ``mat_inv`` and ``det`` work on packed rows (Kronecker
-substitution): a row of entries becomes one Python int with a fixed number of
-bytes per entry ("slot"), so one big-int multiply-add updates a whole row.
-A slot is sized by :func:`_slot_width` to hold ``terms * (p - 1)**2 + p``,
-rounded up to 1, 2, 4 or 8 bytes where that suffices so that ``struct``
-packs and unpacks it.  ``mat_mul`` sums ``n_cols`` products per slot;
-elimination adds ``(p - f) * pivot_row`` (never a negative slot) and reduces
-a row only when it becomes the pivot, so a slot takes at most ``n - 1``
-additions of at most ``(p - 1)**2`` between reductions.  Both stay inside the
-slot, so no carry crosses into the next entry.  The bound holds only for
-entries in ``[0, p)``; the kernels check it and raise ``ParameterError`` for
-any other entry rather than return a wrong result.
+``mat_mul``, ``mat_inv``, ``det`` and the powers of :class:`SquaringTable`
+work on packed rows (Kronecker substitution): a row of entries becomes one
+Python int with a fixed number of bytes per entry ("slot"), so one big-int
+multiply-add updates a whole row.  A slot is sized by :func:`_slot_width` to
+hold ``terms * (p - 1)**2 + p``, rounded up to 1, 2, 4 or 8 bytes where that
+suffices so that ``struct`` packs and unpacks it.  A product sums ``n_cols``
+products per slot; elimination adds ``(p - f) * pivot_row`` (never a negative
+slot) and reduces a row only when it becomes the pivot, so a slot takes at
+most ``n - 1`` additions of at most ``(p - 1)**2`` between reductions.  Both
+stay inside the slot, so no carry crosses into the next entry.  A product's
+rows are unpacked together, with one bytes join and one ``struct`` call
+(slots wider than 8 bytes, as at p = 2^61 - 1, go one entry at a time).
+
+The bound holds only for entries in ``[0, p)``.  The range check runs once,
+where a matrix comes in from a caller: both operands of ``mat_mul``, the
+operand of ``mat_inv`` and ``det``, the base of a ``SquaringTable`` (and so
+of ``mat_pow``) and the matrix of :func:`scaled_chain` (the weights of
+``network.unroll``).  Any other entry raises ``ParameterError`` rather than
+give a wrong result.  Products a kernel takes of its own reduced output (the
+squares and multiplies inside a table, the steps of ``scaled_chain``) go
+through the unchecked :func:`_product` and never through the public
+``mat_mul``; the slot layout is known to this module only.
 
 Also home to the fixed-width little-endian codecs shared by key files,
 signature files and wire frames: a matrix is ``u32 rows | u32 cols | entries``
@@ -31,6 +41,7 @@ from __future__ import annotations
 
 import operator
 import struct
+from itertools import chain
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -54,7 +65,8 @@ class MatrixZp(NamedTuple):
     """Immutable dense matrix over a prime field; every entry lies in [0, p).
 
     The constructor does not reduce or check entries (``from_rows`` does);
-    ``mat_mul``, ``mat_inv`` and ``det`` refuse a matrix that breaks the range.
+    ``mat_mul``, ``mat_inv``, ``det``, ``SquaringTable`` and ``mat_pow``
+    refuse a matrix that breaks the range.
     """
 
     field: Field
@@ -123,10 +135,15 @@ def _check_entries(a: MatrixZp) -> None:
 _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+def _width_for(bound: int) -> int:
+    """Bytes per slot for values up to ``bound``, rounded up to a struct width where one fits."""
+    need = (bound.bit_length() + 7) // 8
+    return next((width for width in _SLOT_CODES if width >= need), need)
+
+
 def _slot_width(p: int, terms: int) -> int:
     """Bytes per slot for a sum of ``terms`` products of two entries plus one entry."""
-    need = ((terms * (p - 1) ** 2 + p).bit_length() + 7) // 8
-    return next((width for width in _SLOT_CODES if width >= need), need)
+    return _width_for(terms * (p - 1) ** 2 + p)
 
 
 def _pack(values, width: int) -> int:
@@ -139,15 +156,44 @@ def _pack(values, width: int) -> int:
     return int.from_bytes(data, "little")
 
 
-def _unpack(value: int, count: int, width: int, p: int) -> tuple:
-    """The ``count`` slots of a packed int, each reduced mod p."""
-    buf = value.to_bytes(count * width, "little")
+def _slots(values, count: int, width: int):
+    """The ``count`` slots of each packed int in ``values``, back to back and
+    unreduced: one bytes join and one ``struct`` call for the lot."""
+    buf = b"".join([v.to_bytes(count * width, "little") for v in values])
     code = _SLOT_CODES.get(width)
     if code:
-        slots = struct.unpack(f"<{count}{code}", buf)
-    else:
-        slots = [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
-    return tuple([x % p for x in slots])
+        return struct.unpack(f"<{len(buf) // width}{code}", buf)
+    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
+
+
+def _unpack(value: int, count: int, width: int, p: int) -> tuple:
+    """The ``count`` slots of a packed int, each reduced mod p."""
+    return tuple([x % p for x in _slots((value,), count, width)])
+
+
+def _split(flat, n_rows: int, n_cols: int) -> tuple:
+    """Row-major entries as a tuple of ``n_rows`` row tuples."""
+    flat = tuple(flat)
+    return tuple([flat[i * n_cols : (i + 1) * n_cols] for i in range(n_rows)])
+
+
+def _product(rows, packed, cols: int, width: int, p: int, scale=None) -> tuple:
+    """``rows`` times the matrix whose rows are ``packed``, reduced; with
+    ``scale``, column j of the product is multiplied by ``scale[j]`` first.
+
+    Unchecked and untallied: the callers check their operands once, where
+    they come in, and count the product themselves.
+    """
+    # Row i is sum_k rows[i][k] * packed[k]: one multiply-add per k updates
+    # every slot at once, carry-free because every slot sum fits its width.
+    sums = _slots([sum(map(operator.mul, row, packed)) for row in rows], cols, width)
+    if scale is not None:
+        sums = map(operator.mul, sums, scale * len(rows))
+    return _split([x % p for x in sums], len(rows), cols)
+
+
+def _tally_product(n_rows: int, inner: int, n_cols: int) -> None:
+    tally(muls=n_rows * n_cols * inner, adds=n_rows * n_cols * (inner - 1))
 
 
 def mat_mul(a: MatrixZp, b: MatrixZp) -> MatrixZp:
@@ -158,13 +204,8 @@ def mat_mul(a: MatrixZp, b: MatrixZp) -> MatrixZp:
     _check_entries(a)
     _check_entries(b)
     width = _slot_width(p, a.n_cols)
-    packed_b = [_pack(row, width) for row in b.rows]
-    # Output row i is sum_k a[i][k] * (row k of B): one multiply-add per k, all
-    # n_cols slots at once, carry-free because every slot sum fits its width.
-    out = tuple(
-        _unpack(sum(map(operator.mul, arow, packed_b)), b.n_cols, width, p) for arow in a.rows
-    )
-    tally(muls=a.n_rows * b.n_cols * a.n_cols, adds=a.n_rows * b.n_cols * (a.n_cols - 1))
+    out = _product(a.rows, [_pack(row, width) for row in b.rows], b.n_cols, width, p)
+    _tally_product(a.n_rows, a.n_cols, b.n_cols)
     return MatrixZp(a.field, out)
 
 
@@ -185,25 +226,48 @@ class SquaringTable:
 
     Any power of the base is then the product of the squares picked by the
     set bits of its exponent, so a table kept across calls pays each squaring
-    once.  A table may be shared between threads: growth builds a new tuple
-    and publishes it with one assignment, so a race at worst squares twice.
+    once.  Each square is kept as its packed rows only, which serve its own
+    squaring, every product ``mat_pow`` takes with it and every step of a
+    ``vec_pow`` chain; its entries are unpacked only where a square is the
+    left operand.  The base is range-checked once, here; the squares are
+    the kernels' own reduced output.  A table may be shared between threads:
+    growth builds a new tuple and publishes it with one assignment, so a race
+    at worst squares twice.
     """
 
     def __init__(self, base: MatrixZp) -> None:
         if base.n_rows != base.n_cols:
             raise DimensionMismatch("only square matrices have powers")
+        _check_entries(base)
         self.base = base
-        self._squares = (base,)
+        self._width = _slot_width(base.field.p, base.n_rows)
+        self._squares = (self._packed(base.rows),)
+
+    def _packed(self, rows) -> tuple:
+        return tuple([_pack(row, self._width) for row in rows])
+
+    def _rows(self, packed) -> tuple:
+        """The rows of a square from its packed rows (whose slots are reduced)."""
+        n = self.base.n_rows
+        return _split(_slots(packed, n, self._width), n, n)
+
+    def _times(self, rows, packed) -> tuple:
+        """rows @ the square whose rows are ``packed``; unchecked, tallied."""
+        n = self.base.n_rows
+        _tally_product(len(rows), n, n)
+        return _product(rows, packed, n, self._width, self.base.field.p)
 
     def _factors(self, e: int) -> list:
-        """The squares whose product is base^e, one per set bit of e."""
+        """Packed rows of the squares whose product is base^e, one per set bit of e."""
         if e < 0:
             raise ValueError("negative exponents are not defined here; invert first")
         squares = self._squares
         if len(squares) < e.bit_length():
             grown = list(squares)
+            rows = self._rows(grown[-1])
             while len(grown) < e.bit_length():
-                grown.append(mat_mul(grown[-1], grown[-1]))
+                rows = self._times(rows, grown[-1])
+                grown.append(self._packed(rows))
             squares = tuple(grown)
             self._squares = squares
         return [squares[k] for k in range(e.bit_length()) if e >> k & 1]
@@ -213,27 +277,55 @@ class SquaringTable:
         factors = self._factors(e)
         if not factors:
             return identity(self.base.field, self.base.n_rows)
-        result = factors[0]
-        for square in factors[1:]:
-            result = mat_mul(result, square)
-        return result
+        rows = self._rows(factors[0])
+        for packed in factors[1:]:
+            rows = self._times(rows, packed)
+        return MatrixZp(self.base.field, rows)
 
     def vec_pow(self, v, e: int) -> tuple:
-        """Row-vector product v*base^e as a chain of vector-matrix products."""
-        if len(v) != self.base.n_rows:
-            raise DimensionMismatch(
-                f"length-{len(v)} vector times {self.base.n_rows}x{self.base.n_cols} matrix"
-            )
+        """Row-vector product v*base^e, one packed multiply-add per factor."""
+        n = self.base.n_rows
+        if len(v) != n:
+            raise DimensionMismatch(f"length-{len(v)} vector times {n}x{n} matrix")
         p = self.base.field.p
-        out = tuple(x % p for x in v)
-        for square in self._factors(e):
-            out = vec_mat(out, square)
-        return out
+        rows = (tuple(x % p for x in v),)
+        for packed in self._factors(e):
+            rows = self._times(rows, packed)
+        return rows[0]
 
 
 def mat_pow(a: MatrixZp, e: int) -> MatrixZp:
     """Square-and-multiply; e must be a non-negative integer."""
     return SquaringTable(a).mat_pow(e)
+
+
+def scaled_chain(a: MatrixZp, scales) -> Tuple[MatrixZp, MatrixZp]:
+    """``(P_m, I + P_1 + ... + P_{m-1})`` for ``m = len(scales)``, where
+    ``P_1 = a @ diag(scales[0])`` and ``P_k = P_{k-1} @ a @ diag(scales[k-1])``.
+
+    ``a`` is range-checked and packed once.  Each ``diag`` is applied to a
+    product's slots as they are reduced, so no scaled copy of ``a`` is
+    built, and the sum is kept in one packed int whose slots hold
+    ``m * (p - 1)``, reduced once.  Untallied: the caller counts the work.
+    """
+    if a.n_rows != a.n_cols:
+        raise DimensionMismatch("only square matrices chain")
+    n, p = a.n_rows, a.field.p
+    if not scales:
+        raise ParameterError("a chain needs at least one scale vector")
+    if any(len(scale) != n for scale in scales):
+        raise DimensionMismatch(f"scale vectors must have length {n}")
+    _check_entries(a)
+    width = _slot_width(p, n)
+    packed = [_pack(row, width) for row in a.rows]
+    sum_width = _width_for(len(scales) * (p - 1))
+    total = sum(1 << 8 * sum_width * (n + 1) * i for i in range(n))  # the identity
+    rows = tuple(tuple([x * s % p for x, s in zip(row, scales[0])]) for row in a.rows)
+    for scale in scales[1:]:
+        total += _pack(list(chain.from_iterable(rows)), sum_width)
+        rows = _product(rows, packed, n, width, p, scale)
+    total = _split([x % p for x in _slots((total,), n * n, sum_width)], n, n)
+    return MatrixZp(a.field, rows), MatrixZp(a.field, total)
 
 
 def transpose(a: MatrixZp) -> MatrixZp:
@@ -274,7 +366,8 @@ def mat_inv(a: MatrixZp) -> MatrixZp:
             work[r] += (p - factor) * wc
             rows_done += 1
     tally(muls=2 * n * (n + rows_done), subs=2 * n * rows_done, invs=n)
-    return MatrixZp(a.field, tuple(_unpack(row >> bits * n, n, width, p) for row in work))
+    inverse = [x % p for x in _slots([row >> bits * n for row in work], n, width)]
+    return MatrixZp(a.field, _split(inverse, n, n))
 
 
 def det(a: MatrixZp) -> int:

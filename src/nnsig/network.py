@@ -18,7 +18,7 @@ from typing import NamedTuple, Tuple
 
 from .errors import DimensionMismatch, ParameterError, SingularWeightsError
 from .field import Field, FrozenValue, tally
-from .matrix import MatrixZp, det, identity, mat_add, mat_inv, mat_mul, mat_vec, vec_add, vec_sub
+from .matrix import MatrixZp, det, mat_inv, mat_vec, scaled_chain, vec_add, vec_sub
 
 # How many fresh draws sample_weights makes before giving up on a nonsingular
 # binarization.  Singular draws are common at tiny n (half of all 2x2 sign
@@ -143,17 +143,6 @@ def build_network(config: NetworkConfig) -> Tuple[SynapticWeights, AttentionSche
     return weights, generate_attention(config, s0)
 
 
-def step_matrix(weights: SynapticWeights, attention_vec) -> MatrixZp:
-    """W with column j scaled by the j-th attention entry (W @ diag(A))."""
-    w = weights.w
-    if len(attention_vec) != w.n_cols:
-        raise DimensionMismatch("attention vector length does not match n")
-    p = w.field.p
-    out = tuple(tuple(x * a % p for x, a in zip(row, attention_vec)) for row in w.rows)
-    tally(muls=w.n_rows * w.n_cols)
-    return MatrixZp(w.field, out)
-
-
 def evolve_iterative(weights: SynapticWeights, schedule: AttentionSchedule, s0, theta) -> tuple:
     """Run the recurrence step by step (the reference path for the closed form)."""
     w = weights.w
@@ -178,18 +167,20 @@ def unroll(weights: SynapticWeights, schedule: AttentionSchedule) -> UnrolledMap
     With step matrices M_j = W @ diag(A_j), applied oldest first:
     w_x = M_{rho-1} @ ... @ M_0 and w_theta sums the suffix products
     M_{rho-1} @ ... @ M_{k+1} for each step k (empty product = identity).
+
+    ``matrix.scaled_chain`` computes both with the A_j newest first as its
+    scales: it range-checks and packs W once, starts the suffix at
+    M_{rho-1}, applies each diag(A_j) to a product's slots as they are
+    reduced (so no M_j is built) and sums w_theta in one packed int, reduced
+    once.  The tally is that of the rho step matrices, rho products and
+    rho - 1 matrix sums of the step-by-step unrolling.
     """
-    if schedule.rho < 1:
+    rho = schedule.rho
+    if rho < 1:
         raise ParameterError("schedule must have at least one step")
-    field = weights.w.field
-    n = weights.n
-    steps = [step_matrix(weights, att) for att in schedule.vectors]
-    suffix = identity(field, n)
-    w_theta = suffix
-    for k in range(len(steps) - 2, -1, -1):
-        suffix = mat_mul(suffix, steps[k + 1])
-        w_theta = mat_add(w_theta, suffix)
-    w_x = mat_mul(suffix, steps[0])
+    w_x, w_theta = scaled_chain(weights.w, schedule.vectors[::-1])
+    n = w_x.n_rows
+    tally(muls=rho * n * n * (n + 1), adds=rho * n * n * (n - 1) + (rho - 1) * n * n)
     return UnrolledMaps(w_x=w_x, w_theta=w_theta)
 
 

@@ -209,6 +209,11 @@ def derive_keypair(
         raise ParameterError(f"mask exponents must lie in [2, {p - 2}]")
     if l_x.n != n or l_theta.n != n:
         raise DimensionMismatch("permutation size does not match n")
+    # The secret-key file stores each weight as one bit, 1 or p-1.
+    w = weights.w
+    if (w.field.p != p or len(w.rows) != n or any(len(row) != n for row in w.rows)
+            or not set().union(*w.rows) <= {1, p - 1}):
+        raise ParameterError(f"weights must be {n}x{n} over Z_{p} with every entry 1 or {p - 1}")
     l = n // 2 if split_index is None else split_index
     if not 1 <= l < n:
         raise ParameterError(f"digest split must satisfy 1 <= l < n, got l={l}")

@@ -113,6 +113,15 @@ def test_import_loads_only_errors_and_hardness(tmp_path):
     assert not HEAVY & modules
 
 
+@pytest.mark.parametrize("args", [["import"], ["--help"], ["params", "--n", "26", "--p", "257"]])
+def test_import_help_and_params_skip_the_matrix_module(tmp_path, args):
+    """hardness imports matrix only inside the functions that use it."""
+    code, modules = _child(tmp_path, *args)
+    assert code == 0
+    assert "nnsig.hardness" in modules
+    assert "nnsig.matrix" not in modules
+
+
 @pytest.mark.parametrize("command", ["sign", "verify"])
 def test_sign_and_verify_skip_sync_metrics_and_socket(files, command):
     args = {

@@ -281,6 +281,8 @@ def test_threads_sharing_a_fresh_config_get_the_serial_thetas():
             sock.close()
     assert not any(t.is_alive() for t in threads)
     assert [(results[(k, 0)], results[(k, 1)]) for k in range(len(pairs))] == serial
-    squares = config.base_powers._squares
+    table = config.base_powers
+    squares = [table.mat_pow(1 << k) for k in range(len(table._squares))]
+    assert len(table._squares) == len(squares)
     assert squares[0] == config.weights.w
     assert all(mat_mul(s, s) == t for s, t in zip(squares, squares[1:]))

@@ -22,7 +22,6 @@ from nnsig.network import (
     quantize_unit,
     sample_weights,
     sigmoid,
-    step_matrix,
     unroll,
 )
 
@@ -152,9 +151,9 @@ def test_unroll_depth_two_bias_map(f7):
     weights = _weights(f7, [[1, 1], [1, 6]])
     schedule = AttentionSchedule(((2, 5), (3, 4)))
     maps = unroll(weights, schedule)
-    m1 = step_matrix(weights, (3, 4))
+    m1 = mat_mul(weights.w, diag_from_vector(f7, (3, 4)))
     assert maps.w_theta == mat_add(m1, identity(f7, 2))
-    m0 = step_matrix(weights, (2, 5))
+    m0 = mat_mul(weights.w, diag_from_vector(f7, (2, 5)))
     assert maps.w_x == mat_mul(m1, m0)
 
 
@@ -178,7 +177,7 @@ def test_step_matrices_invertible_and_det_product(f257):
     weights, schedule = build_network(config)
     prod = 1
     for att in schedule.vectors:
-        d = det(step_matrix(weights, att))
+        d = det(mat_mul(weights.w, diag_from_vector(f257, att)))
         assert d != 0
         prod = prod * d % 257
     maps = unroll(weights, schedule)

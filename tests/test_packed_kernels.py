@@ -1,9 +1,12 @@
 """The packed-integer kernels against the plain loops they replaced.
 
-``mat_mul``, ``mat_inv`` and ``det`` in ``nnsig.matrix`` run on rows packed
-into single ints.  The reference versions below are the entry-by-entry loops
-they replaced, op counting included; every kernel must return the same
-entries, raise at the same point and count the same field operations.
+``mat_mul``, ``mat_inv``, ``det``, ``SquaringTable.mat_pow`` and
+``SquaringTable.vec_pow`` in ``nnsig.matrix`` and ``unroll`` in
+``nnsig.network`` (through ``matrix.scaled_chain``) run on rows packed into
+single ints.  The reference
+versions below are the entry-by-entry loops they replaced, op counting
+included; every kernel must return the same entries, raise at the same point
+and count the same field operations.
 """
 
 from __future__ import annotations
@@ -14,7 +17,18 @@ from hypothesis import strategies as st
 
 from nnsig.errors import ParameterError, SingularMatrixError
 from nnsig.field import Field, count_ops, tally
-from nnsig.matrix import MatrixZp, det, from_rows, identity, mat_inv, mat_mul
+from nnsig.matrix import (
+    MatrixZp,
+    SquaringTable,
+    det,
+    from_rows,
+    identity,
+    mat_inv,
+    mat_mul,
+    mat_pow,
+    scaled_chain,
+)
+from nnsig.network import AttentionSchedule, SynapticWeights, UnrolledMaps, unroll
 
 PRIMES = [3, 7, 257, 65521, 2**31 - 1, 2**61 - 1]
 
@@ -98,6 +112,55 @@ def oracle_det(a):
     return d % p
 
 
+def oracle_vec_mat(v, a):
+    p = a.field.p
+    out = tuple(sum(x * y for x, y in zip(v, col)) % p for col in zip(*a.rows))
+    tally(muls=a.n_rows * a.n_cols, adds=a.n_cols * (a.n_rows - 1))
+    return out
+
+
+def _oracle_powers(a, e):
+    """(k, a^(2^k)) for each set bit k of e, squaring with the reference product."""
+    square = a
+    for k in range(e.bit_length()):
+        if k:
+            square = oracle_mat_mul(square, square)
+        if e >> k & 1:
+            yield square
+
+
+def oracle_mat_pow(a, e):
+    result = None
+    for square in _oracle_powers(a, e):
+        result = square if result is None else oracle_mat_mul(result, square)
+    return identity(a.field, a.n_rows) if result is None else result
+
+
+def oracle_vec_pow(a, v, e):
+    out = tuple(x % a.field.p for x in v)
+    for square in _oracle_powers(a, e):
+        out = oracle_vec_mat(out, square)
+    return out
+
+
+def oracle_unroll(weights, schedule):
+    """rho step matrices W @ diag(A_j), rho products from the identity, rho - 1 sums."""
+    w = weights.w
+    p, n = w.field.p, w.n_rows
+    steps = []
+    for att in schedule.vectors:
+        steps.append(MatrixZp(w.field, tuple(
+            tuple(x * y % p for x, y in zip(row, att)) for row in w.rows)))
+        tally(muls=n * n)
+    suffix = w_theta = identity(w.field, n)
+    for k in range(len(steps) - 2, -1, -1):
+        suffix = oracle_mat_mul(suffix, steps[k + 1])
+        w_theta = MatrixZp(w.field, tuple(
+            tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(w_theta.rows, suffix.rows)))
+        tally(adds=n * n)
+    return UnrolledMaps(w_x=oracle_mat_mul(suffix, steps[0]), w_theta=w_theta)
+
+
 # --- comparison helpers --------------------------------------------------------
 
 
@@ -138,6 +201,32 @@ def _square(draw):
         scale = draw(st.integers(0, field.p - 1))
         rows[i] = [scale * x % field.p for x in rows[draw(st.integers(0, n - 1))]]
     return from_rows(field, rows)
+
+
+@st.composite
+def _power_operands(draw):
+    """A square matrix, a vector and an exponent, often the fullest entry p - 1."""
+    field = Field(draw(st.sampled_from(PRIMES)))
+    n = draw(st.integers(1, 8))
+    a = _matrix(field, n, n, draw)
+    if draw(st.booleans()):
+        a = from_rows(field, [[field.p - 1] * n] * n)
+    v = draw(st.lists(st.integers(-field.p, 2 * field.p), min_size=n, max_size=n))
+    return a, v, draw(st.integers(0, 300))
+
+
+@st.composite
+def _network(draw):
+    """Weights and a schedule: any entries in [0, p), tiny p with deep rho
+    (the w_theta accumulator bound) or the 61-bit prime (wide slots)."""
+    p = draw(st.sampled_from(PRIMES))
+    field = Field(p)
+    n = draw(st.integers(1, 6))
+    rho = draw(st.integers(1, 300 if p < 10 else 12))
+    w = _matrix(field, n, n, draw)
+    attention = st.lists(st.integers(1, p - 1), min_size=n, max_size=n).map(tuple)
+    schedule = draw(st.lists(attention, min_size=rho, max_size=rho))
+    return SynapticWeights(w), AttentionSchedule(tuple(schedule))
 
 
 # --- agreement with the reference ----------------------------------------------
@@ -193,6 +282,50 @@ def test_entries_outside_the_field_are_refused(bad):
         lambda: mat_mul(good, off),
         lambda: mat_inv(off),
         lambda: det(off),
+        lambda: SquaringTable(off),
+        lambda: mat_pow(off, 0),
+        lambda: mat_pow(off, 1),
+        lambda: mat_pow(off, 5),
+        lambda: unroll(SynapticWeights(off), AttentionSchedule(((1, 2),))),
+        lambda: unroll(SynapticWeights(off), AttentionSchedule(((1, 2), (3, 4)))),
+        lambda: scaled_chain(off, ((1, 2),)),
     ):
         with pytest.raises(ParameterError):
             call()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_power_operands())
+def test_table_powers_match_the_reference(operands):
+    a, v, e = operands
+    _same(lambda: SquaringTable(a).mat_pow(e), lambda: oracle_mat_pow(a, e))
+    _same(lambda: SquaringTable(a).vec_pow(v, e), lambda: oracle_vec_pow(a, v, e))
+    table = SquaringTable(a)
+    table.mat_pow(e)
+    want = oracle_vec_pow(a, v, e)
+    with count_ops() as c:  # the squares are kept: only the multiplies are paid again
+        assert table.vec_pow(v, e) == want
+    assert c.muls == bin(e).count("1") * a.n_rows ** 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_network())
+def test_unroll_matches_the_reference(network):
+    _same(unroll, oracle_unroll, *network)
+
+
+@pytest.mark.parametrize("p,rho", [(3, 127), (3, 128), (3, 129), (3, 400), (5, 64), (5, 65)])
+def test_fullest_w_theta_accumulator(p, rho):
+    """W = (p-1) I with A = 1 at the newest step and p-1 before it makes
+    every suffix product (p-1) I, so each diagonal slot of the w_theta
+    accumulator reaches 1 + (rho - 1)(p - 1): past one byte at p = 3 from
+    rho = 128, and at p = 5 from rho = 65."""
+    field = Field(p)
+    n = 3
+    w = SynapticWeights(from_rows(field, [[p - 1 if i == j else 0 for j in range(n)]
+                                          for i in range(n)]))
+    schedule = AttentionSchedule(((p - 1,) * n,) * (rho - 1) + ((1,) * n,))
+    _same(unroll, oracle_unroll, w, schedule)
+    diagonal = (1 + (rho - 1) * (p - 1)) % p
+    assert unroll(w, schedule).w_theta == from_rows(
+        field, [[diagonal if i == j else 0 for j in range(n)] for i in range(n)])

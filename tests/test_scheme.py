@@ -17,8 +17,8 @@ from nnsig.errors import (
     UnsupportedVersion,
 )
 from nnsig.field import Field
-from nnsig.matrix import PermutationMatrix, mat_inv, mat_pow, mat_vec, vec_add, vec_sub
-from nnsig.network import NetworkConfig, build_network
+from nnsig.matrix import MatrixZp, PermutationMatrix, mat_inv, mat_pow, mat_vec, vec_add, vec_sub
+from nnsig.network import NetworkConfig, SynapticWeights, build_network
 from nnsig.scheme import (
     Signature,
     derive_keypair,
@@ -163,6 +163,28 @@ def test_derive_keypair_validation(f257):
         derive_keypair(config, weights, schedule, 3, 5, ident, ident, split_index=4)
     with pytest.raises(DimensionMismatch):
         derive_keypair(config, weights, schedule, 3, 5, PermutationMatrix((0, 1, 2)), ident)
+
+
+def test_derive_keypair_refuses_weights_the_secret_key_file_cannot_hold(f257):
+    """Every weight is stored as one bit (1 or p-1); any other entry, shape or
+    field would be written as a different key."""
+    config = NetworkConfig(n=4, field=f257, rho=2, seed=b"w")
+    weights, schedule = build_network(config)
+    ident = PermutationMatrix.identity(4)
+    rows = [list(row) for row in weights.w.rows]
+    rows[0][0] = 2
+    three = [row[:3] for row in weights.w.rows[:3]]
+    for bad in (
+        MatrixZp(f257, tuple(map(tuple, rows))),
+        MatrixZp(f257, tuple(map(tuple, three))),
+        MatrixZp(f257, weights.w.rows[:3]),
+        MatrixZp(Field(263), tuple(tuple(262 if x == 256 else x for x in row)
+                                   for row in weights.w.rows)),
+    ):
+        with pytest.raises(ParameterError):
+            derive_keypair(config, SynapticWeights(bad), schedule, 3, 5, ident, ident)
+    _, sk = derive_keypair(config, weights, schedule, 3, 5, ident, ident)
+    assert parse_secret_key(serialize_secret_key(sk)) == sk
 
 
 # --- sign / verify ------------------------------------------------------------
