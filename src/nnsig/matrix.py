@@ -14,8 +14,7 @@ products per slot; elimination adds ``(p - f) * pivot_row`` (never a negative
 slot) and reduces a row only when it becomes the pivot, so a slot takes at
 most ``n - 1`` additions of at most ``(p - 1)**2`` between reductions.  Both
 stay inside the slot, so no carry crosses into the next entry.  A product's
-rows are unpacked together, with one bytes join and one ``struct`` call
-(slots wider than 8 bytes, as at p = 2^61 - 1, go one entry at a time).
+rows are unpacked together, through one :func:`decode_uints` call.
 
 The bound holds only for entries in ``[0, p)``.  The range check runs once,
 where a matrix comes in from a caller: both operands of ``mat_mul``, the
@@ -30,11 +29,14 @@ through the unchecked :func:`_product` and never through the public
 Also home to the fixed-width little-endian codecs shared by key files,
 signature files and wire frames: a matrix is ``u32 rows | u32 cols | entries``
 and a vector is ``u32 len | entries``, each entry ``field.element_size`` bytes.
-Every element run in every format goes through :func:`encode_elements` and
-:func:`read_elements`; every file starts with a magic (and, except the theta
-file, a version byte) and its fixed header fields, checked and unpacked by
-:func:`read_header`, and ends where :func:`expect_end` says; a modulus read
-from a file becomes a :class:`Field` through :func:`field_from_wire`.
+Every fixed-width integer run, in a format or a packed kernel, goes through
+:func:`encode_uints` and :func:`decode_uints`, every element run through
+:func:`encode_elements` and :func:`read_elements`, and rows are cut from a
+flat run by :func:`split_rows`; every file starts with a magic (and, except
+the theta file, a version byte) and its fixed header fields, checked and
+unpacked by :func:`read_header`, and ends where :func:`expect_end` says; a
+modulus read from a file becomes a :class:`Field` through
+:func:`field_from_wire`.
 """
 
 from __future__ import annotations
@@ -85,10 +87,7 @@ def from_rows(field: Field, rows) -> MatrixZp:
     """Checked constructor; reduces arbitrary ints mod p."""
     p = field.p
     reduced = tuple(tuple(int(x) % p for x in row) for row in rows)
-    if reduced:
-        width = len(reduced[0])
-        if width == 0 or any(len(r) != width for r in reduced):
-            raise DimensionMismatch("ragged or empty rows")
+    _check_shape(reduced)
     return MatrixZp(field, reduced)
 
 
@@ -124,21 +123,51 @@ def _same_field(a: MatrixZp, b: MatrixZp) -> None:
         raise DimensionMismatch("operands live in different fields")
 
 
+def _check_shape(rows) -> None:
+    """Refuse rows of different lengths, or of length 0."""
+    if rows and (not rows[0] or any(len(row) != len(rows[0]) for row in rows)):
+        raise DimensionMismatch("ragged or empty rows")
+
+
 def _check_entries(a: MatrixZp) -> None:
-    """Refuse entries outside [0, p): they would borrow or carry across slots."""
+    """Refuse a ragged shape, and entries outside [0, p): they would borrow
+    or carry across slots."""
+    _check_shape(a.rows)
     if a.rows and (min(map(min, a.rows)) < 0 or max(map(max, a.rows)) >= a.field.p):
         raise ParameterError(f"matrix entries must lie in [0, {a.field.p})")
 
 
-# struct codes of the slot widths packed and unpacked in C; wider slots (large
-# p) go through one int.from_bytes/to_bytes per entry.
-_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# struct codes of the widths encoded and decoded in one C call; any other
+# width goes through one int.from_bytes/to_bytes per entry.
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def encode_uints(values, width: int) -> bytes:
+    """A sequence of non-negative ints, ``width`` little-endian bytes each, back to back."""
+    code = _STRUCT_CODES.get(width)
+    if code:
+        return struct.pack(f"<{len(values)}{code}", *values)
+    return b"".join([x.to_bytes(width, "little") for x in values])
+
+
+def decode_uints(buf, width: int) -> tuple:
+    """The ``width``-byte little-endian ints that ``buf`` holds back to back."""
+    code = _STRUCT_CODES.get(width)
+    if code:
+        return struct.unpack(f"<{len(buf) // width}{code}", buf)
+    return tuple([int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)])
+
+
+def split_rows(flat, n_rows: int, n_cols: int) -> tuple:
+    """Row-major entries as a tuple of ``n_rows`` row tuples."""
+    flat = tuple(flat)
+    return tuple([flat[i * n_cols : (i + 1) * n_cols] for i in range(n_rows)])
 
 
 def _width_for(bound: int) -> int:
     """Bytes per slot for values up to ``bound``, rounded up to a struct width where one fits."""
     need = (bound.bit_length() + 7) // 8
-    return next((width for width in _SLOT_CODES if width >= need), need)
+    return next((width for width in _STRUCT_CODES if width >= need), need)
 
 
 def _slot_width(p: int, terms: int) -> int:
@@ -148,33 +177,18 @@ def _slot_width(p: int, terms: int) -> int:
 
 def _pack(values, width: int) -> int:
     """Entries as one int, ``width`` bytes per slot, the first in the lowest slot."""
-    code = _SLOT_CODES.get(width)
-    if code:
-        data = struct.pack(f"<{len(values)}{code}", *values)
-    else:
-        data = b"".join([x.to_bytes(width, "little") for x in values])
-    return int.from_bytes(data, "little")
+    return int.from_bytes(encode_uints(values, width), "little")
 
 
-def _slots(values, count: int, width: int):
+def _slots(values, count: int, width: int) -> tuple:
     """The ``count`` slots of each packed int in ``values``, back to back and
-    unreduced: one bytes join and one ``struct`` call for the lot."""
-    buf = b"".join([v.to_bytes(count * width, "little") for v in values])
-    code = _SLOT_CODES.get(width)
-    if code:
-        return struct.unpack(f"<{len(buf) // width}{code}", buf)
-    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
+    unreduced: one ``encode_uints`` and one ``decode_uints`` call for the lot."""
+    return decode_uints(encode_uints(values, count * width), width)
 
 
 def _unpack(value: int, count: int, width: int, p: int) -> tuple:
     """The ``count`` slots of a packed int, each reduced mod p."""
     return tuple([x % p for x in _slots((value,), count, width)])
-
-
-def _split(flat, n_rows: int, n_cols: int) -> tuple:
-    """Row-major entries as a tuple of ``n_rows`` row tuples."""
-    flat = tuple(flat)
-    return tuple([flat[i * n_cols : (i + 1) * n_cols] for i in range(n_rows)])
 
 
 def _product(rows, packed, cols: int, width: int, p: int, scale=None) -> tuple:
@@ -189,7 +203,7 @@ def _product(rows, packed, cols: int, width: int, p: int, scale=None) -> tuple:
     sums = _slots([sum(map(operator.mul, row, packed)) for row in rows], cols, width)
     if scale is not None:
         sums = map(operator.mul, sums, scale * len(rows))
-    return _split([x % p for x in sums], len(rows), cols)
+    return split_rows([x % p for x in sums], len(rows), cols)
 
 
 def _tally_product(n_rows: int, inner: int, n_cols: int) -> None:
@@ -249,7 +263,7 @@ class SquaringTable:
     def _rows(self, packed) -> tuple:
         """The rows of a square from its packed rows (whose slots are reduced)."""
         n = self.base.n_rows
-        return _split(_slots(packed, n, self._width), n, n)
+        return split_rows(_slots(packed, n, self._width), n, n)
 
     def _times(self, rows, packed) -> tuple:
         """rows @ the square whose rows are ``packed``; unchecked, tallied."""
@@ -324,7 +338,7 @@ def scaled_chain(a: MatrixZp, scales) -> Tuple[MatrixZp, MatrixZp]:
     for scale in scales[1:]:
         total += _pack(list(chain.from_iterable(rows)), sum_width)
         rows = _product(rows, packed, n, width, p, scale)
-    total = _split([x % p for x in _slots((total,), n * n, sum_width)], n, n)
+    total = split_rows([x % p for x in _slots((total,), n * n, sum_width)], n, n)
     return MatrixZp(a.field, rows), MatrixZp(a.field, total)
 
 
@@ -367,7 +381,7 @@ def mat_inv(a: MatrixZp) -> MatrixZp:
             rows_done += 1
     tally(muls=2 * n * (n + rows_done), subs=2 * n * rows_done, invs=n)
     inverse = [x % p for x in _slots([row >> bits * n for row in work], n, width)]
-    return MatrixZp(a.field, _split(inverse, n, n))
+    return MatrixZp(a.field, split_rows(inverse, n, n))
 
 
 def det(a: MatrixZp) -> int:
@@ -538,8 +552,7 @@ def expect_end(data: bytes, offset: int, what: str) -> None:
 
 def encode_elements(field: Field, values) -> bytes:
     """Field elements back to back, ``field.element_size`` bytes each."""
-    size = field.element_size
-    return b"".join([x.to_bytes(size, "little") for x in values])
+    return encode_uints(values, field.element_size)
 
 
 def read_elements(field: Field, buf: bytes, offset: int, count: int, what: str):
@@ -552,7 +565,7 @@ def read_elements(field: Field, buf: bytes, offset: int, count: int, what: str):
     end = offset + count * size
     if len(buf) < end:
         raise MalformedEncoding(f"truncated {what} payload")
-    out = tuple([int.from_bytes(buf[i : i + size], "little") for i in range(offset, end, size)])
+    out = decode_uints(buf[offset:end], size)
     if out and max(out) >= field.p:
         raise MalformedEncoding(f"{what} entry {max(out)} out of range for p={field.p}")
     return out, end
@@ -591,8 +604,7 @@ def read_matrix(field: Field, buf: bytes, offset: int = 0):
     if n_rows == 0 or n_cols == 0 or n_rows > MAX_DECODE_DIM or n_cols > MAX_DECODE_DIM:
         raise MalformedEncoding(f"bad matrix dimensions {n_rows}x{n_cols}")
     flat, end = read_elements(field, buf, offset + _DIMS.size, n_rows * n_cols, "matrix")
-    rows = tuple(flat[i : i + n_cols] for i in range(0, len(flat), n_cols))
-    return MatrixZp(field, rows), end
+    return MatrixZp(field, split_rows(flat, n_rows, n_cols)), end
 
 
 def decode_matrix(field: Field, buf: bytes) -> MatrixZp:

@@ -81,18 +81,25 @@ def binarize(real_rows, field: Field) -> SynapticWeights:
     """Sign-binarize a real matrix: entry >= 0 becomes 1, entry < 0 becomes p-1.
 
     Raises SingularWeightsError when the binarized matrix is singular mod p;
-    the caller is expected to resample.
+    the caller is expected to resample.  ``det`` refuses a ragged or
+    non-square matrix with DimensionMismatch.
     """
     p = field.p
-    rows = tuple(tuple(1 if x >= 0 else p - 1 for x in row) for row in real_rows)
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise DimensionMismatch("ragged weight rows")
-    w = MatrixZp(field, rows)
-    if w.n_rows != w.n_cols:
-        raise DimensionMismatch("weight matrix must be square")
+    w = MatrixZp(field, tuple(tuple(1 if x >= 0 else p - 1 for x in row) for row in real_rows))
     if det(w) == 0:
         raise SingularWeightsError("binarized weights are singular mod p")
     return SynapticWeights(w=w)
+
+
+def check_weights(weights: SynapticWeights, field: Field, n: int) -> None:
+    """Refuse weights that are not n x n over ``field`` with every entry 1 or
+    p-1, or that are singular mod p: no key or shared setup holds others."""
+    w, p = weights.w, field.p
+    if (w.field.p != p or len(w.rows) != n or any(len(row) != n for row in w.rows)
+            or not set().union(*w.rows) <= {1, p - 1}):
+        raise ParameterError(f"weights must be {n}x{n} over Z_{p} with every entry 1 or {p - 1}")
+    if det(w) == 0:
+        raise ParameterError(f"weights are singular mod {p}")
 
 
 def sample_weights(n: int, field: Field, rng, max_tries: int = WEIGHT_RETRY_CAP) -> SynapticWeights:

@@ -45,8 +45,10 @@ from .field import Field, FrozenValue, Value
 from .matrix import (
     MatrixZp,
     PermutationMatrix,
+    decode_uints,
     encode_elements,
     encode_matrix,
+    encode_uints,
     encode_vector,
     expect_end,
     field_from_wire,
@@ -57,10 +59,12 @@ from .matrix import (
     read_header,
     read_matrix,
     read_vector,
+    split_rows,
     vec_add,
     vec_sub,
 )
-from .network import AttentionSchedule, NetworkConfig, SynapticWeights, build_network, unroll
+from .network import (AttentionSchedule, NetworkConfig, SynapticWeights, build_network,
+                      check_weights, unroll)
 
 PK_MAGIC = b"NNSIGPK1"
 SK_MAGIC = b"NNSIGSK1"
@@ -84,33 +88,28 @@ _U64 = struct.Struct("<Q")
 def hash_to_field(message: bytes, n: int, field: Field) -> tuple:
     """Map a message to n field elements via SHAKE-128.
 
-    The XOF input is domain-separated with the modulus and output length;
-    output bits are consumed most-significant-first in chunks of
-    ``bits_per_element``, rejecting chunks >= p so the result is uniform.
+    The XOF input is domain-separated with the modulus and output length.
+    The digest is read as one big-endian int and cut into chunks of
+    ``bits_per_element``, most significant first, rejecting chunks >= p so
+    the result is uniform.  Too few accepted chunks double the digest
+    length; SHAKE's longer output starts with the shorter one, so the scan
+    accepts the same chunks again, then more.
     """
     if n < 1:
         raise ParameterError("digest length must be positive")
     shake = hashlib.shake_128(
         _DOMAIN + _U64.pack(field.p) + _U32.pack(n) + message
     )
-    bits = field.bits_per_element
-    p = field.p
+    bits, p = field.bits_per_element, field.p
     mask = (1 << bits) - 1
     nbytes = max(32, (n * bits) // 4)
-    buf = shake.digest(nbytes)
-    out = []
-    pos = 0
-    while len(out) < n:
-        if pos + bits > 8 * len(buf):
-            nbytes *= 2
-            buf = shake.digest(nbytes)
-        start, end = pos // 8, (pos + bits + 7) // 8
-        window = int.from_bytes(buf[start:end], "big")
-        chunk = (window >> (8 * end - pos - bits)) & mask
-        pos += bits
-        if chunk < p:
-            out.append(chunk)
-    return tuple(out)
+    while True:
+        digest = int.from_bytes(shake.digest(nbytes), "big")
+        out = [c for shift in range(8 * nbytes - bits, -1, -bits)
+               if (c := digest >> shift & mask) < p]
+        if len(out) >= n:
+            return tuple(out[:n])
+        nbytes *= 2
 
 
 # --- key objects ------------------------------------------------------------
@@ -133,7 +132,7 @@ class Signature(NamedTuple):
 
 
 class SecretKey(Value):
-    """Private material; everything public is rebuilt from it on demand.
+    """Private material, checked when built; everything public is rebuilt from it on demand.
 
     The underscored attributes are memos, left out of ``==`` and ``repr``.
     """
@@ -144,6 +143,18 @@ class SecretKey(Value):
     def __init__(self, field: Field, n: int, l: int, l_x: PermutationMatrix,
                  l_theta: PermutationMatrix, a: int, b: int, rho: int,
                  weights: SynapticWeights, schedule: AttentionSchedule) -> None:
+        p = field.p
+        if not 1 <= l < n:
+            raise ParameterError(f"digest split must satisfy 1 <= l < n, got l={l}, n={n}")
+        if not (2 <= a <= p - 2 and 2 <= b <= p - 2):
+            raise ParameterError(f"mask exponents must lie in [2, {p - 2}]")
+        if l_x.n != n or l_theta.n != n:
+            raise DimensionMismatch("permutation size does not match n")
+        check_weights(weights, field, n)
+        steps = schedule.vectors
+        if (rho < 1 or rho != len(steps) or any(len(step) != n for step in steps)
+                or not 0 < min(map(min, steps)) <= max(map(max, steps)) < p):
+            raise ParameterError(f"schedule must be rho >= 1 steps of {n} entries in [1, {p - 1}]")
         vars(self).update(field=field, n=n, l=l, l_x=l_x, l_theta=l_theta, a=a, b=b, rho=rho,
                           weights=weights, schedule=schedule)
 
@@ -202,33 +213,12 @@ def derive_keypair(
     l_theta: PermutationMatrix,
     split_index: Optional[int] = None,
 ) -> Tuple[PublicKey, SecretKey]:
-    """Deterministic keypair from explicit secret components."""
-    p = config.field.p
+    """Deterministic keypair from explicit secret components; ``SecretKey``
+    refuses any component its file could not hold."""
     n = config.n
-    if not (2 <= a <= p - 2 and 2 <= b <= p - 2):
-        raise ParameterError(f"mask exponents must lie in [2, {p - 2}]")
-    if l_x.n != n or l_theta.n != n:
-        raise DimensionMismatch("permutation size does not match n")
-    # The secret-key file stores each weight as one bit, 1 or p-1.
-    w = weights.w
-    if (w.field.p != p or len(w.rows) != n or any(len(row) != n for row in w.rows)
-            or not set().union(*w.rows) <= {1, p - 1}):
-        raise ParameterError(f"weights must be {n}x{n} over Z_{p} with every entry 1 or {p - 1}")
-    l = n // 2 if split_index is None else split_index
-    if not 1 <= l < n:
-        raise ParameterError(f"digest split must satisfy 1 <= l < n, got l={l}")
-    sk = SecretKey(
-        field=config.field,
-        n=n,
-        l=l,
-        l_x=l_x,
-        l_theta=l_theta,
-        a=a,
-        b=b,
-        rho=schedule.rho,
-        weights=weights,
-        schedule=schedule,
-    )
+    sk = SecretKey(field=config.field, n=n, l=n // 2 if split_index is None else split_index,
+                   l_x=l_x, l_theta=l_theta, a=a, b=b, rho=schedule.rho, weights=weights,
+                   schedule=schedule)
     return sk.public_key(), sk
 
 
@@ -351,52 +341,41 @@ def serialize_secret_key(sk: SecretKey) -> bytes:
         SK_MAGIC,
         bytes([FORMAT_VERSION]),
         _SK_HEADER.pack(sk.field.p, n, sk.l, sk.rho, sk.a, sk.b),
-        struct.pack(f"<{2 * n}I", *sk.l_x.perm, *sk.l_theta.perm),
+        encode_uints((*sk.l_x.perm, *sk.l_theta.perm), 4),
         int(bits[::-1], 2).to_bytes((n * n + 7) // 8, "little"),
         encode_elements(sk.field, [x for vec in sk.schedule.vectors for x in vec]),
     ])
 
 
 def parse_secret_key(data: bytes) -> SecretKey:
+    """Decode a secret-key file; ``SecretKey`` checks what the bytes hold."""
     (p, n, l, rho, a, b), off = read_header(
         data, SK_MAGIC, FORMAT_VERSION, "secret-key", _SK_HEADER
     )
     field = field_from_wire(p)
-    if n < 2 or not 1 <= l < n or rho < 1:
-        raise MalformedEncoding(f"bad secret-key dimensions n={n}, l={l}, rho={rho}")
-    if not (2 <= a <= p - 2 and 2 <= b <= p - 2):
-        raise MalformedEncoding("mask exponent out of range in secret key")
+    if n == 0:  # the schedule would take no bytes, and rho empty rows no bound
+        raise MalformedEncoding("secret key of size n=0")
     perms_end = off + 8 * n
     weights_end = perms_end + (n * n + 7) // 8
     if len(data) < weights_end:
         raise MalformedEncoding("secret-key file truncated in permutations or weights")
-    idx = struct.unpack_from(f"<{2 * n}I", data, off)
-    try:
-        l_x, l_theta = PermutationMatrix(idx[:n]), PermutationMatrix(idx[n:])
-    except DimensionMismatch as exc:
-        raise MalformedEncoding(f"bad permutation in secret key: {exc}") from exc
+    idx = decode_uints(data[off:perms_end], 4)
     bits = int.from_bytes(data[perms_end:weights_end], "little")
     if bits >> n * n:
         raise MalformedEncoding("nonzero padding bits after the secret-key weights")
     entry = {"0": 1, "1": p - 1}.__getitem__
-    flat_bits = format(bits, f"0{n * n}b")[::-1]
-    rows = tuple(tuple(map(entry, flat_bits[i : i + n])) for i in range(0, n * n, n))
+    weights = map(entry, format(bits, f"0{n * n}b")[::-1])
     flat, off = read_elements(field, data, weights_end, rho * n, "schedule")
-    if 0 in flat:
-        raise MalformedEncoding("schedule entry 0 outside [1, p-1]")
     expect_end(data, off, "secret key")
-    return SecretKey(
-        field=field,
-        n=n,
-        l=l,
-        l_x=l_x,
-        l_theta=l_theta,
-        a=a,
-        b=b,
-        rho=rho,
-        weights=SynapticWeights(w=MatrixZp(field, rows)),
-        schedule=AttentionSchedule(tuple(flat[i : i + n] for i in range(0, len(flat), n))),
-    )
+    try:
+        return SecretKey(
+            field=field, n=n, l=l, l_x=PermutationMatrix(idx[:n]),
+            l_theta=PermutationMatrix(idx[n:]), a=a, b=b, rho=rho,
+            weights=SynapticWeights(w=MatrixZp(field, split_rows(weights, n, n))),
+            schedule=AttentionSchedule(split_rows(flat, rho, n)),
+        )
+    except (ParameterError, DimensionMismatch) as exc:
+        raise MalformedEncoding(f"bad secret key: {exc}") from exc
 
 
 def serialize_signature(sig: Signature, field: Field) -> bytes:

@@ -58,7 +58,7 @@ from .matrix import (
     read_vector,
     vec_add,
 )
-from .network import SynapticWeights
+from .network import SynapticWeights, check_weights
 # The theta file codec lives in scheme, beside the other file codecs; sync
 # re-exports it.
 from .scheme import THETA_MAGIC, decode_theta, encode_theta, hash_to_field  # noqa: F401
@@ -365,10 +365,11 @@ def decode_shared_setup(data: bytes) -> Tuple[SynapticWeights, tuple]:
     w, off = read_matrix(field, data, off)
     q, off = read_vector(field, data, off)
     expect_end(data, off, "shared setup")
-    if w.n_rows != n or w.n_cols != n or len(q) != n:
+    if len(q) != n:
         raise MalformedEncoding("shared-setup dimensions are inconsistent")
-    if any(x not in (1, p - 1) for row in w.rows for x in row):
-        raise MalformedEncoding("shared-setup base matrix entries must be 1 or p-1")
-    if det(w) == 0:
-        raise MalformedEncoding("shared-setup base matrix is singular mod p")
-    return SynapticWeights(w=w), q
+    weights = SynapticWeights(w=w)
+    try:
+        check_weights(weights, field, n)
+    except ParameterError as exc:
+        raise MalformedEncoding(f"bad shared-setup base matrix: {exc}") from exc
+    return weights, q

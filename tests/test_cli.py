@@ -494,3 +494,34 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 1
     assert "error" in proc.stderr
+
+
+def _singular_secret_key(tmp_path) -> Path:
+    """A keygen secret key with every weight bit cleared: all weights 1, rank 1."""
+    from nnsig.field import Field
+    from nnsig.scheme import encode_theta
+
+    assert _keygen(tmp_path) == 0
+    blob = bytearray((tmp_path / "k.sk").read_bytes())
+    weights = len(b"NNSIGSK1") + 1 + 48 + 8 * 6  # magic, version, header, permutations
+    blob[weights : weights + 5] = bytes(5)  # 36 weight bits in 5 bytes
+    (tmp_path / "singular.sk").write_bytes(bytes(blob))
+    (tmp_path / "t.theta").write_bytes(encode_theta(Field(257), (1, 2, 3, 4, 5, 6)))
+    (tmp_path / "m.txt").write_bytes(b"x")
+    return tmp_path / "singular.sk"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_sign_with_singular_weights_exits_six(tmp_path, capsys, json_flag):
+    argv = ["sign", "--sk", str(_singular_secret_key(tmp_path)), "--theta",
+            str(tmp_path / "t.theta"), "--in", str(tmp_path / "m.txt"), *json_flag]
+    capsys.readouterr()
+    assert main(argv) == 6
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    if json_flag:
+        error = json.loads(err)
+        assert error["error"] == "encoding" and "singular" in error["message"]
+    else:
+        assert "singular" in err and not err.startswith("{")
+    assert not (tmp_path / "nnsig.sig").exists()

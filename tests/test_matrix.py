@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nnsig.errors import DimensionMismatch, MalformedEncoding, SingularMatrixError
 from nnsig.field import Field
@@ -241,3 +243,51 @@ def test_mat_add_and_shapes(f7):
     assert mat_add(a, b).rows == ((0, 1), (2, 3))
     with pytest.raises(DimensionMismatch):
         mat_add(a, identity(f7, 3))
+
+
+# --- shape checks and the fixed-width codec -------------------------------------
+
+
+@pytest.mark.parametrize("rows", [((1, 2), (3,)), ((), ()), ((1,), (2, 3))])
+def test_ragged_or_empty_rows_are_refused(f7, rows):
+    from nnsig.matrix import SquaringTable
+
+    bad = MatrixZp(f7, rows)
+    good = identity(f7, 2)
+    for call in (lambda: mat_mul(bad, good), lambda: mat_mul(good, bad), lambda: mat_inv(bad),
+                 lambda: det(bad), lambda: SquaringTable(bad)):
+        with pytest.raises(DimensionMismatch):
+            call()
+    with pytest.raises(DimensionMismatch):
+        mat_mul(bad, from_rows(f7, []))
+    with pytest.raises(DimensionMismatch):
+        from_rows(f7, rows)
+
+
+def _uints_oracle(values, width):
+    return b"".join(x.to_bytes(width, "little") for x in values)
+
+
+@given(st.data(), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 16]))
+def test_uints_codec_matches_the_per_entry_oracle(data, width):
+    from nnsig.matrix import decode_uints, encode_uints
+
+    values = data.draw(st.lists(st.integers(0, (1 << 8 * width) - 1), max_size=40))
+    encoded = encode_uints(values, width)
+    assert encoded == _uints_oracle(values, width)
+    assert decode_uints(encoded, width) == tuple(values)
+
+
+def test_element_codec_roundtrip_at_a_three_byte_modulus():
+    field = Field(65539)
+    assert field.element_size == 3
+    rng = random.Random(5)
+    v = tuple([0, 1, 65538] + [rng.randrange(65539) for _ in range(40)])
+    blob = encode_vector(field, v)
+    assert len(blob) == 4 + 3 * len(v)
+    assert decode_vector(field, blob) == v
+    a = random_matrix(field, 3, 5, rng)
+    assert decode_matrix(field, encode_matrix(a)) == a
+    over = blob[:-3] + (65539).to_bytes(3, "little")
+    with pytest.raises(MalformedEncoding):
+        decode_vector(field, over)

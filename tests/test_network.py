@@ -43,6 +43,13 @@ def test_binarize_rejects_singular(f5):
         binarize([[1.0, 2.0], [3.0, 4.0]], f5)  # all positive -> all ones
 
 
+@pytest.mark.parametrize("reals", [[[1.0, -1.0], [1.0]], [[1.0], [-1.0, 1.0]],
+                                   [[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]], [[]]])
+def test_binarize_refuses_ragged_or_non_square_reals(f257, reals):
+    with pytest.raises(DimensionMismatch):
+        binarize(reals, f257)
+
+
 def test_binarize_randomized_always_invertible(f257):
     rng = random.Random(1)
     for _ in range(30):

@@ -187,6 +187,33 @@ def test_derive_keypair_refuses_weights_the_secret_key_file_cannot_hold(f257):
     assert parse_secret_key(serialize_secret_key(sk)) == sk
 
 
+def test_derive_keypair_refuses_schedules_and_weights_no_key_holds(f257):
+    """Schedule entries outside [1, p-1], a step of the wrong length and
+    singular +-1 weights are refused before any map is built."""
+    from nnsig.matrix import from_rows
+    from nnsig.network import AttentionSchedule
+
+    config = NetworkConfig(n=4, field=f257, rho=2, seed=b"s")
+    weights, schedule = build_network(config)
+    ident = PermutationMatrix.identity(4)
+    first, second = schedule.vectors
+    for bad in ((0,) + first[1:], (257,) + first[1:], first[:3]):
+        with pytest.raises(ParameterError):
+            derive_keypair(config, weights, AttentionSchedule((bad, second)), 3, 5, ident, ident)
+    singular = SynapticWeights(from_rows(f257, [[1, 256, 1, 1]] * 2 + [[1, 1, 256, 1]] * 2))
+    with pytest.raises(ParameterError):
+        derive_keypair(config, singular, schedule, 3, 5, ident, ident)
+
+
+def test_parse_secret_key_refuses_singular_weights():
+    _, sk = _keypair(n=6)
+    blob = bytearray(serialize_secret_key(sk))
+    weights = len(b"NNSIGSK1") + 1 + 48 + 8 * 6  # after magic, version, header, permutations
+    blob[weights : weights + 5] = bytes(5)  # every weight 1: rank 1
+    with pytest.raises(MalformedEncoding, match="singular"):
+        parse_secret_key(bytes(blob))
+
+
 # --- sign / verify ------------------------------------------------------------
 
 

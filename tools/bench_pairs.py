@@ -20,7 +20,6 @@ again alternating.  Standard library only.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -29,6 +28,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,22 +81,15 @@ def git(*args, cwd=ROOT, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, **kwargs)
 
 
-def tree_hash(path: Path) -> str:
-    """The git tree id of an uncommitted directory, as ``git rev-parse REV:dir``
-    will give it once committed."""
-    entries = []
-    for child in path.iterdir():
-        if child.is_dir():
-            if any(child.iterdir()):
-                entries.append((child.name + "/", b"40000", child.name, tree_hash(child)))
-            continue
-        data = child.read_bytes()
-        blob = hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
-        mode = b"100755" if os.access(child, os.X_OK) else b"100644"
-        entries.append((child.name, mode, child.name, blob))
-    body = b"".join(mode + b" " + name.encode() + b"\0" + bytes.fromhex(sha)
-                    for _, mode, name, sha in sorted(entries))
-    return hashlib.sha1(b"tree %d\0" % len(body) + body).hexdigest()
+def change_src_tree() -> str:
+    """The git tree id of this working tree's ``src`` as it would be committed,
+    staged in a throwaway index so the real one is left alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        git("read-tree", "HEAD", env=env)
+        git("add", "-A", env=env)
+        tree = git("write-tree", env=env, text=True).stdout.strip()
+    return git("rev-parse", f"{tree}:src", text=True).stdout.strip()
 
 
 def checkout_parent(rev: str, dest: Path) -> str:
@@ -188,6 +181,7 @@ def main(argv=None) -> int:
     change_dir.mkdir(parents=True)
     parent_commit = checkout_parent(args.parent, parent_dir)
     checkout_change(change_dir)
+    change_tree = change_src_tree()
     dirs = {"parent": parent_dir, "change": change_dir}
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
 
@@ -228,7 +222,7 @@ def main(argv=None) -> int:
         },
         "parent": {"commit": parent_commit,
                    "src_tree": git("rev-parse", f"{parent_commit}:src", text=True).stdout.strip()},
-        "change": {"commit": "the commit that adds this file", "src_tree": tree_hash(change_dir / "src")},
+        "change": {"commit": "the commit that adds this file", "src_tree": change_tree},
         "python": platform.python_version(),
         "cpu": _cpu_model(),
         "nproc": os.cpu_count(),
