@@ -194,21 +194,14 @@ def cmd_sync(args) -> int:
     session = SyncSession.create(config, _rng_for(_master_seed(args), b"sync"))
     if args.listen:
         host, port = _parse_endpoint(args.listen)
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-            server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            server.bind((host, port))
-            server.listen(1)
+        with socket.create_server((host, port), backlog=1) as server:
             server.settimeout(args.timeout)
             _say(args, f"listening on {host}:{server.getsockname()[1]}")
-            conn, peer = server.accept()
-            with conn:
-                theta = run_over_socket(session, _Deadline(conn, args.timeout))
+            conn, _ = server.accept()
     else:
-        host, port = _parse_endpoint(args.connect)
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as conn:
-            conn.settimeout(args.timeout)
-            conn.connect((host, port))
-            theta = run_over_socket(session, _Deadline(conn, args.timeout))
+        conn = socket.create_connection(_parse_endpoint(args.connect), timeout=args.timeout)
+    with conn:
+        theta = run_over_socket(session, _Deadline(conn, args.timeout))
     blob = encode_theta(config.field, theta)
     _write_file(args.theta_out, blob)
     digest = _fingerprint(blob)

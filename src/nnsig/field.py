@@ -201,12 +201,10 @@ class Field(FrozenValue):
 
     # --- sampling ----------------------------------------------------------
 
-    def sample(self, rng, nonzero: bool = False) -> int:
-        """Uniform element from [0, p), or [1, p) when nonzero is set."""
-        lo = 1 if nonzero else 0
-        return rng.randrange(lo, self.p)
+    def sample(self, rng) -> int:
+        """Uniform element from [0, p)."""
+        return rng.randrange(self.p)
 
-    def sample_vector(self, rng, length: int, nonzero: bool = False) -> tuple:
-        lo = 1 if nonzero else 0
+    def sample_vector(self, rng, length: int) -> tuple:
         p = self.p
-        return tuple(rng.randrange(lo, p) for _ in range(length))
+        return tuple(rng.randrange(p) for _ in range(length))

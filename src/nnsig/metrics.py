@@ -119,14 +119,8 @@ def op_count_report(n: int, p: int) -> OpCountReport:
     )
 
 
-def instrumented_counts(
-    n: int,
-    p: int,
-    rho: int,
-    seed: bytes = b"instrumented",
-    message: bytes = b"instrumented message",
-    rng: Optional[random.Random] = None,
-) -> dict:
+def instrumented_counts(n: int, p: int, rho: int, seed: bytes = b"instrumented",
+                        rng: Optional[random.Random] = None) -> dict:
     """Run one keygen/sign/verify with the op counter on; returns the tallies.
 
     Verify runs on a public key that has not seen theta yet, so its tally
@@ -137,6 +131,7 @@ def instrumented_counts(
     field = Field(p)
     config = NetworkConfig(n=n, field=field, rho=rho, seed=seed)
     rng = rng or random.Random(0xC0FFEE)
+    message = b"instrumented message"
     with count_ops() as c_key:
         pk, sk = keygen(config, rng)
         sk.signing_matrix()  # signer's one-time setup belongs to keygen cost

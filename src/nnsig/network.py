@@ -102,16 +102,16 @@ def check_weights(weights: SynapticWeights, field: Field, n: int) -> None:
         raise ParameterError(f"weights are singular mod {p}")
 
 
-def sample_weights(n: int, field: Field, rng, max_tries: int = WEIGHT_RETRY_CAP) -> SynapticWeights:
+def sample_weights(n: int, field: Field, rng) -> SynapticWeights:
     """Draw standard-normal entries and binarize, retrying singular draws."""
     last = None
-    for _ in range(max_tries):
+    for _ in range(WEIGHT_RETRY_CAP):
         reals = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)]
         try:
             return binarize(reals, field)
         except SingularWeightsError as exc:
             last = exc
-    raise SingularWeightsError(f"no invertible binarization in {max_tries} draws") from last
+    raise SingularWeightsError(f"no invertible binarization in {WEIGHT_RETRY_CAP} draws") from last
 
 
 def _sub_rng(seed: bytes, tag: bytes) -> random.Random:

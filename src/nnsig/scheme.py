@@ -91,9 +91,13 @@ def hash_to_field(message: bytes, n: int, field: Field) -> tuple:
     The XOF input is domain-separated with the modulus and output length.
     The digest is read as one big-endian int and cut into chunks of
     ``bits_per_element``, most significant first, rejecting chunks >= p so
-    the result is uniform.  Too few accepted chunks double the digest
+    the result is uniform.  A chunk is accepted with probability p / 2^bits,
+    so the first squeeze holds 1.25 times the expected number of chunks for
+    n acceptances, plus 8: a second squeeze is then rare (under 1% of
+    messages at p = 257, n = 43).  Too few accepted chunks double the digest
     length; SHAKE's longer output starts with the shorter one, so the scan
-    accepts the same chunks again, then more.
+    accepts the same chunks again, then more, and the output does not depend
+    on the first length.
     """
     if n < 1:
         raise ParameterError("digest length must be positive")
@@ -102,7 +106,8 @@ def hash_to_field(message: bytes, n: int, field: Field) -> tuple:
     )
     bits, p = field.bits_per_element, field.p
     mask = (1 << bits) - 1
-    nbytes = max(32, (n * bits) // 4)
+    chunks = -(-(5 * n << bits) // (4 * p)) + 8
+    nbytes = -(-(chunks * bits) // 8)
     while True:
         digest = int.from_bytes(shake.digest(nbytes), "big")
         out = [c for shift in range(8 * nbytes - bits, -1, -bits)

@@ -113,19 +113,24 @@ def _frame_header(data: bytes, offset: int) -> Tuple[int, int]:
     return tag, length
 
 
+def _decode_payload(tag: int, payload: bytes, field: Field) -> SyncMessage:
+    """The message a checked header's tag announces, decoded from its payload."""
+    try:
+        if tag == TAG_DH_MATRIX:
+            return DhMatrixMessage(decode_matrix(field, payload))
+        return PublicVectorMessage(field, decode_vector(field, payload))
+    except MalformedEncoding as exc:
+        raise MalformedFrame(f"bad frame payload: {exc}") from exc
+
+
 def read_frame(data: bytes, field: Field, offset: int = 0) -> Tuple[SyncMessage, int]:
     """Decode one frame at offset; returns (message, next_offset)."""
     tag, length = _frame_header(data, offset)
     offset += _HDR.size
-    if len(data) < offset + length:
+    end = offset + length
+    if len(data) < end:
         raise MalformedFrame("truncated frame payload")
-    payload = data[offset : offset + length]
-    try:
-        if tag == TAG_DH_MATRIX:
-            return DhMatrixMessage(decode_matrix(field, payload)), offset + length
-        return PublicVectorMessage(field, decode_vector(field, payload)), offset + length
-    except MalformedEncoding as exc:
-        raise MalformedFrame(f"bad frame payload: {exc}") from exc
+    return _decode_payload(tag, data[offset:end], field), end
 
 
 def wire_decode(data: bytes, field: Field) -> SyncMessage:
@@ -294,12 +299,15 @@ class SyncSession(Value):
 # --- transports ----------------------------------------------------------------
 
 
-def run_pair(a: SyncSession, b: SyncSession, through_wire: bool = True) -> Tuple[tuple, tuple]:
-    """Drive two in-process sessions to completion; returns (theta_a, theta_b)."""
+def run_pair(a: SyncSession, b: SyncSession) -> Tuple[tuple, tuple]:
+    """Drive two in-process sessions to completion; returns (theta_a, theta_b).
+
+    Every message goes through the wire codec, as it would between hosts.
+    """
     field = a.config.field
 
     def ship(msg):
-        return wire_decode(wire_encode(msg), field) if through_wire else msg
+        return wire_decode(wire_encode(msg), field)
 
     da, db = a.dh_message(), b.dh_message()
     a.receive_dh(ship(db))
@@ -320,14 +328,10 @@ def _recv_exact(sock, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def send_frame(sock, msg: SyncMessage) -> None:
-    sock.sendall(wire_encode(msg))
-
-
 def recv_frame(sock, field: Field) -> SyncMessage:
-    header = _recv_exact(sock, _HDR.size)
-    _, length = _frame_header(header, 0)
-    return wire_decode(header + _recv_exact(sock, length), field)
+    """Read one frame; a bad header is refused before any payload is read."""
+    tag, length = _frame_header(_recv_exact(sock, _HDR.size), 0)
+    return _decode_payload(tag, _recv_exact(sock, length), field)
 
 
 def run_over_socket(session: SyncSession, sock) -> tuple:
@@ -337,12 +341,10 @@ def run_over_socket(session: SyncSession, sock) -> tuple:
     buffering makes the symmetric order deadlock-free.
     """
     field = session.config.field
-    send_frame(sock, session.dh_message())
-    peer_dh = recv_frame(sock, field)
-    session.receive_dh(peer_dh)
-    send_frame(sock, session.public_vector())
-    peer_public = recv_frame(sock, field)
-    return session.finalize(peer_public)
+    sock.sendall(wire_encode(session.dh_message()))
+    session.receive_dh(recv_frame(sock, field))
+    sock.sendall(wire_encode(session.public_vector()))
+    return session.finalize(recv_frame(sock, field))
 
 
 # --- shared-setup file ---------------------------------------------------------

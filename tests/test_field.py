@@ -74,13 +74,6 @@ def test_sample_determinism(f257):
     assert a == b
 
 
-def test_sample_nonzero_never_zero(f5):
-    rng = random.Random(3)
-    draws = [f5.sample(rng, nonzero=True) for _ in range(100_000)]
-    assert min(draws) >= 1
-    assert max(draws) <= 4
-
-
 def test_sample_uniformity_chi_square(f257):
     rng = random.Random(2024)
     counts = [0] * 257

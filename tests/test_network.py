@@ -67,7 +67,7 @@ def test_sample_weights_gives_up_after_cap(f5):
             return 1.0
 
     with pytest.raises(SingularWeightsError):
-        sample_weights(3, f5, AllPositive(), max_tries=64)
+        sample_weights(3, f5, AllPositive())
 
 
 def test_quantizer_midpoint():

@@ -6,6 +6,7 @@ import hashlib
 import random
 import secrets
 import struct
+import types
 
 import pytest
 
@@ -70,6 +71,34 @@ def test_hash_matches_bitstring_oracle():
         field = Field(p)
         for msg in (b"", b"a", b"hello world", bytes(range(200))):
             assert hash_to_field(msg, 12, field) == _digest_oracle(msg, 12, field)
+
+
+@pytest.mark.parametrize("n", [2, 26, 43, 128])
+@pytest.mark.parametrize("p", [257, 7919, 65537, 2**61 - 1])
+def test_hash_matches_one_long_squeeze(p, n):
+    # The oracle reads one 16 KiB digest, far more than any first squeeze.
+    field = Field(p)
+    for i in range(8):
+        msg = b"squeeze %d" % i
+        assert hash_to_field(msg, n, field) == _digest_oracle(msg, n, field)
+
+
+def test_first_squeeze_rarely_falls_short(f257, monkeypatch):
+    squeezes = []
+
+    class CountingShake:
+        def __init__(self, data):
+            self._xof = hashlib.shake_128(data)
+
+        def digest(self, length):
+            squeezes[-1] += 1
+            return self._xof.digest(length)
+
+    monkeypatch.setattr("nnsig.scheme.hashlib", types.SimpleNamespace(shake_128=CountingShake))
+    for i in range(3000):
+        squeezes.append(0)
+        hash_to_field(b"message %d" % i, 43, f257)
+    assert sum(count > 1 for count in squeezes) < 30  # under 1% squeeze twice
 
 
 def test_hash_deterministic_and_message_sensitive(f257):

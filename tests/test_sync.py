@@ -64,7 +64,7 @@ def test_both_parties_agree():
         config = _setup(seed=b"agree%d" % trial, n=rng.randrange(2, 7))
         a = SyncSession.create(config, random.Random(rng.random()))
         b = SyncSession.create(config, random.Random(rng.random()))
-        ta, tb = run_pair(a, b, through_wire=trial % 2 == 0)
+        ta, tb = run_pair(a, b)
         assert ta == tb
         assert len(ta) == config.n
         assert a.state is SessionState.DONE and b.state is SessionState.DONE
@@ -329,6 +329,32 @@ def test_recv_frame_on_closed_socket(f257):
         with pytest.raises(MalformedFrame):
             recv_frame(right, f257)
     finally:
+        right.close()
+
+
+@pytest.mark.parametrize(
+    "sent, close, error",
+    [
+        # The peer stays connected and silent after the header, so only a
+        # refusal made from the header alone can end these two.
+        (struct.pack("<BI", 0x01, MAX_PAYLOAD + 1), False, LengthOverflow),
+        (b"\x7f\x04\x00\x00\x00", False, UnknownTag),
+        # A vector frame announcing 10 payload bytes, cut after 5, then a close.
+        (wire_encode(PublicVectorMessage(Field(257), (1, 2, 3)))[:10], True, MalformedFrame),
+    ],
+    ids=["oversized-length", "unknown-tag", "truncated-payload"],
+)
+def test_recv_frame_refuses_a_hostile_peer(f257, sent, close, error):
+    left, right = socket.socketpair()
+    right.settimeout(5.0)  # a regression that waits for more bytes fails, not hangs
+    try:
+        left.sendall(sent)
+        if close:
+            left.close()
+        with pytest.raises(error):
+            recv_frame(right, f257)
+    finally:
+        left.close()
         right.close()
 
 
