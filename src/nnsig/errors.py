@@ -17,7 +17,7 @@ class SingularMatrixError(NnsigError):
     """Matrix has no inverse mod p."""
 
 
-class SingularWeightsError(NnsigError):
+class SingularWeightsError(ParameterError):
     """Binarized weight matrix is singular mod p; caller must resample."""
 
 

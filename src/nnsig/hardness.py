@@ -3,9 +3,13 @@ and parameter estimates.
 
 Given an invertible matrix A over Z_p and B = L @ A^a for a hidden row
 permutation L and exponent a, recover (a, L).  Exhaustive search costs
-(p-1) * n! matrix comparisons on top of the incremental powers, which is the
-count the security estimate is built on; the solvers here are reference
-oracles and are guardrailed to toy sizes.
+(p-1) * n! matrix comparisons on top of the incremental powers.  The
+security estimate counts exhaustive search only, and cheaper attacks exist:
+one signature and the public key forge any message without theta
+(``tests/test_scheme.py::test_forgery_from_one_signature_without_theta``),
+and det(B) = +-det(A)^a reduces the instance to a discrete log in Z_p^*
+(Menezes & Wu, "The discrete logarithm problem in GL(n, q)", 1997).  The
+solvers here are reference oracles and are guardrailed to toy sizes.
 
 Estimates work on raw integers in the log domain, so they are not bound by
 the 61-bit element-arithmetic cap.  ``matrix`` is imported by the functions

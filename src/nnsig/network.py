@@ -41,10 +41,21 @@ class NetworkConfig(FrozenValue):
         vars(self).update(n=n, field=field, rho=rho, seed=seed)
 
 
-class SynapticWeights(NamedTuple):
-    """Binarized weight matrix; every entry is 1 or p-1."""
+class SynapticWeights(FrozenValue):
+    """Binarized weight matrix: square, every entry 1 or p-1, invertible mod p.
+    The constructor holds this whole rule, so no holder checks it again."""
 
-    w: MatrixZp
+    _fields = ("w",)
+
+    def __init__(self, w: MatrixZp) -> None:
+        rows, p = w.rows, w.field.p
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise DimensionMismatch("weights must be a nonempty square matrix")
+        if not set().union(*rows) <= {1, p - 1}:
+            raise ParameterError(f"weights must have every entry 1 or {p - 1}")
+        if det(w) == 0:
+            raise SingularWeightsError(f"weights are singular mod {p}")
+        vars(self).update(w=w)
 
     @property
     def n(self) -> int:
@@ -79,27 +90,10 @@ def quantize_unit(a: float, p: int) -> int:
 
 def binarize(real_rows, field: Field) -> SynapticWeights:
     """Sign-binarize a real matrix: entry >= 0 becomes 1, entry < 0 becomes p-1.
-
-    Raises SingularWeightsError when the binarized matrix is singular mod p;
-    the caller is expected to resample.  ``det`` refuses a ragged or
-    non-square matrix with DimensionMismatch.
-    """
+    On SingularWeightsError (from ``SynapticWeights``) the caller resamples."""
     p = field.p
-    w = MatrixZp(field, tuple(tuple(1 if x >= 0 else p - 1 for x in row) for row in real_rows))
-    if det(w) == 0:
-        raise SingularWeightsError("binarized weights are singular mod p")
-    return SynapticWeights(w=w)
-
-
-def check_weights(weights: SynapticWeights, field: Field, n: int) -> None:
-    """Refuse weights that are not n x n over ``field`` with every entry 1 or
-    p-1, or that are singular mod p: no key or shared setup holds others."""
-    w, p = weights.w, field.p
-    if (w.field.p != p or len(w.rows) != n or any(len(row) != n for row in w.rows)
-            or not set().union(*w.rows) <= {1, p - 1}):
-        raise ParameterError(f"weights must be {n}x{n} over Z_{p} with every entry 1 or {p - 1}")
-    if det(w) == 0:
-        raise ParameterError(f"weights are singular mod {p}")
+    return SynapticWeights(MatrixZp(field, tuple(tuple(1 if x >= 0 else p - 1 for x in row)
+                                                 for row in real_rows)))
 
 
 def sample_weights(n: int, field: Field, rng) -> SynapticWeights:
@@ -183,8 +177,6 @@ def unroll(weights: SynapticWeights, schedule: AttentionSchedule) -> UnrolledMap
     rho - 1 matrix sums of the step-by-step unrolling.
     """
     rho = schedule.rho
-    if rho < 1:
-        raise ParameterError("schedule must have at least one step")
     w_x, w_theta = scaled_chain(weights.w, schedule.vectors[::-1])
     n = w_x.n_rows
     tally(muls=rho * n * n * (n + 1), adds=rho * n * n * (n - 1) + (rho - 1) * n * n)

@@ -63,8 +63,7 @@ from .matrix import (
     vec_add,
     vec_sub,
 )
-from .network import (AttentionSchedule, NetworkConfig, SynapticWeights, build_network,
-                      check_weights, unroll)
+from .network import AttentionSchedule, NetworkConfig, SynapticWeights, build_network, unroll
 
 PK_MAGIC = b"NNSIGPK1"
 SK_MAGIC = b"NNSIGSK1"
@@ -142,11 +141,11 @@ class SecretKey(Value):
     The underscored attributes are memos, left out of ``==`` and ``repr``.
     """
 
-    _fields = ("field", "n", "l", "l_x", "l_theta", "a", "b", "rho", "weights", "schedule")
+    _fields = ("field", "n", "l", "l_x", "l_theta", "a", "b", "weights", "schedule")
     _maps = _public = _sign_mat = _bias = None
 
     def __init__(self, field: Field, n: int, l: int, l_x: PermutationMatrix,
-                 l_theta: PermutationMatrix, a: int, b: int, rho: int,
+                 l_theta: PermutationMatrix, a: int, b: int,
                  weights: SynapticWeights, schedule: AttentionSchedule) -> None:
         p = field.p
         if not 1 <= l < n:
@@ -155,13 +154,18 @@ class SecretKey(Value):
             raise ParameterError(f"mask exponents must lie in [2, {p - 2}]")
         if l_x.n != n or l_theta.n != n:
             raise DimensionMismatch("permutation size does not match n")
-        check_weights(weights, field, n)
+        if weights.w.field.p != p or weights.n != n:
+            raise ParameterError(f"weights must be {n}x{n} over Z_{p}")
         steps = schedule.vectors
-        if (rho < 1 or rho != len(steps) or any(len(step) != n for step in steps)
+        if (not steps or any(len(step) != n for step in steps)
                 or not 0 < min(map(min, steps)) <= max(map(max, steps)) < p):
             raise ParameterError(f"schedule must be rho >= 1 steps of {n} entries in [1, {p - 1}]")
-        vars(self).update(field=field, n=n, l=l, l_x=l_x, l_theta=l_theta, a=a, b=b, rho=rho,
+        vars(self).update(field=field, n=n, l=l, l_x=l_x, l_theta=l_theta, a=a, b=b,
                           weights=weights, schedule=schedule)
+
+    @property
+    def rho(self) -> int:
+        return self.schedule.rho
 
     def unrolled_maps(self):
         if self._maps is None:
@@ -222,8 +226,7 @@ def derive_keypair(
     refuses any component its file could not hold."""
     n = config.n
     sk = SecretKey(field=config.field, n=n, l=n // 2 if split_index is None else split_index,
-                   l_x=l_x, l_theta=l_theta, a=a, b=b, rho=schedule.rho, weights=weights,
-                   schedule=schedule)
+                   l_x=l_x, l_theta=l_theta, a=a, b=b, weights=weights, schedule=schedule)
     return sk.public_key(), sk
 
 
@@ -375,8 +378,8 @@ def parse_secret_key(data: bytes) -> SecretKey:
     try:
         return SecretKey(
             field=field, n=n, l=l, l_x=PermutationMatrix(idx[:n]),
-            l_theta=PermutationMatrix(idx[n:]), a=a, b=b, rho=rho,
-            weights=SynapticWeights(w=MatrixZp(field, split_rows(weights, n, n))),
+            l_theta=PermutationMatrix(idx[n:]), a=a, b=b,
+            weights=SynapticWeights(MatrixZp(field, split_rows(weights, n, n))),
             schedule=AttentionSchedule(split_rows(flat, rho, n)),
         )
     except (ParameterError, DimensionMismatch) as exc:

@@ -58,7 +58,7 @@ from .matrix import (
     read_vector,
     vec_add,
 )
-from .network import SynapticWeights, check_weights
+from .network import SynapticWeights
 # The theta file codec lives in scheme, beside the other file codecs; sync
 # re-exports it.
 from .scheme import THETA_MAGIC, decode_theta, encode_theta, hash_to_field  # noqa: F401
@@ -152,7 +152,7 @@ class SessionState(enum.Enum):
 
 
 class SyncConfig(FrozenValue):
-    """Shared setup both parties must agree on out of band."""
+    """Shared setup both parties must agree on out of band; W is a checked SynapticWeights."""
 
     _fields = ("weights", "q", "u")
 
@@ -367,11 +367,9 @@ def decode_shared_setup(data: bytes) -> Tuple[SynapticWeights, tuple]:
     w, off = read_matrix(field, data, off)
     q, off = read_vector(field, data, off)
     expect_end(data, off, "shared setup")
-    if len(q) != n:
+    if len(q) != n or w.n_rows != n or w.n_cols != n:
         raise MalformedEncoding("shared-setup dimensions are inconsistent")
-    weights = SynapticWeights(w=w)
     try:
-        check_weights(weights, field, n)
+        return SynapticWeights(w), q
     except ParameterError as exc:
         raise MalformedEncoding(f"bad shared-setup base matrix: {exc}") from exc
-    return weights, q

@@ -8,7 +8,16 @@ import pytest
 
 from nnsig.errors import DimensionMismatch, ParameterError, SingularWeightsError
 from nnsig.field import Field
-from nnsig.matrix import det, diag_from_vector, from_rows, identity, mat_add, mat_mul, mat_pow
+from nnsig.matrix import (
+    MatrixZp,
+    det,
+    diag_from_vector,
+    from_rows,
+    identity,
+    mat_add,
+    mat_mul,
+    mat_pow,
+)
 from nnsig.network import (
     AttentionSchedule,
     NetworkConfig,
@@ -48,6 +57,25 @@ def test_binarize_rejects_singular(f5):
 def test_binarize_refuses_ragged_or_non_square_reals(f257, reals):
     with pytest.raises(DimensionMismatch):
         binarize(reals, f257)
+
+
+@pytest.mark.parametrize("rows,error", [
+    (((1, 2), (256, 1)), ParameterError),  # an entry other than 1 or p-1
+    (((0, 1), (1, 1)), ParameterError),
+    (((1, 256), (256, 1)), SingularWeightsError),  # row 1 is -1 times row 0
+    (((1, 1, 256), (1, 256, 1), (1, 1, 256)), SingularWeightsError),  # row 2 repeats row 0
+    ((), DimensionMismatch),
+    (((),), DimensionMismatch),
+    (((1, 256), (1,)), DimensionMismatch),
+    (((1, 256, 1), (256, 1, 1)), DimensionMismatch),
+])
+def test_weights_refuse_what_no_network_holds(f257, rows, error):
+    with pytest.raises(error):
+        SynapticWeights(MatrixZp(f257, rows))
+
+
+def test_singular_weights_are_a_parameter_error():
+    assert issubclass(SingularWeightsError, ParameterError)
 
 
 def test_binarize_randomized_always_invertible(f257):

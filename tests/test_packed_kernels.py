@@ -12,10 +12,10 @@ and count the same field operations.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from nnsig.errors import ParameterError, SingularMatrixError
+from nnsig.errors import ParameterError, SingularMatrixError, SingularWeightsError
 from nnsig.field import Field, count_ops, tally
 from nnsig.matrix import (
     MatrixZp,
@@ -144,11 +144,14 @@ def oracle_vec_pow(a, v, e):
 
 
 def oracle_unroll(weights, schedule):
+    return oracle_chain(weights.w, schedule.vectors)
+
+
+def oracle_chain(w, vectors):
     """rho step matrices W @ diag(A_j), rho products from the identity, rho - 1 sums."""
-    w = weights.w
     p, n = w.field.p, w.n_rows
     steps = []
-    for att in schedule.vectors:
+    for att in vectors:
         steps.append(MatrixZp(w.field, tuple(
             tuple(x * y % p for x, y in zip(row, att)) for row in w.rows)))
         tally(muls=n * n)
@@ -215,18 +218,33 @@ def _power_operands(draw):
     return a, v, draw(st.integers(0, 300))
 
 
-@st.composite
-def _network(draw):
-    """Weights and a schedule: any entries in [0, p), tiny p with deep rho
-    (the w_theta accumulator bound) or the 61-bit prime (wide slots)."""
+def _draw_chain(draw, entries):
+    """A square matrix with ``entries(p)`` and rho attention vectors: tiny p
+    with deep rho (the w_theta accumulator bound) or the 61-bit prime (wide
+    slots)."""
     p = draw(st.sampled_from(PRIMES))
-    field = Field(p)
     n = draw(st.integers(1, 6))
     rho = draw(st.integers(1, 300 if p < 10 else 12))
-    w = _matrix(field, n, n, draw)
+    w = from_rows(Field(p), draw(st.lists(st.lists(entries(p), min_size=n, max_size=n),
+                                          min_size=n, max_size=n)))
     attention = st.lists(st.integers(1, p - 1), min_size=n, max_size=n).map(tuple)
-    schedule = draw(st.lists(attention, min_size=rho, max_size=rho))
-    return SynapticWeights(w), AttentionSchedule(tuple(schedule))
+    return w, tuple(draw(st.lists(attention, min_size=rho, max_size=rho)))
+
+
+@st.composite
+def _chain(draw):
+    """Any entries in [0, p), as ``scaled_chain`` takes them."""
+    return _draw_chain(draw, lambda p: st.integers(0, p - 1))
+
+
+@st.composite
+def _network(draw):
+    """Checked weights, every entry 1 or p - 1, and a schedule."""
+    w, vectors = _draw_chain(draw, lambda p: st.sampled_from((1, p - 1)))
+    try:
+        return SynapticWeights(w), AttentionSchedule(vectors)
+    except SingularWeightsError:
+        reject()
 
 
 # --- agreement with the reference ----------------------------------------------
@@ -314,18 +332,27 @@ def test_unroll_matches_the_reference(network):
     _same(unroll, oracle_unroll, *network)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_chain())
+def test_scaled_chain_matches_the_reference(chain):
+    """Untallied, so only the entries are compared; the scales run newest first."""
+    w, vectors = chain
+    assert scaled_chain(w, vectors[::-1]) == tuple(oracle_chain(w, vectors))
+
+
 @pytest.mark.parametrize("p,rho", [(3, 127), (3, 128), (3, 129), (3, 400), (5, 64), (5, 65)])
 def test_fullest_w_theta_accumulator(p, rho):
     """W = (p-1) I with A = 1 at the newest step and p-1 before it makes
     every suffix product (p-1) I, so each diagonal slot of the w_theta
     accumulator reaches 1 + (rho - 1)(p - 1): past one byte at p = 3 from
-    rho = 128, and at p = 5 from rho = 65."""
+    rho = 128, and at p = 5 from rho = 65.  Such a W is no +-1 weights, so
+    the chain runs on ``scaled_chain`` itself."""
     field = Field(p)
     n = 3
-    w = SynapticWeights(from_rows(field, [[p - 1 if i == j else 0 for j in range(n)]
-                                          for i in range(n)]))
-    schedule = AttentionSchedule(((p - 1,) * n,) * (rho - 1) + ((1,) * n,))
-    _same(unroll, oracle_unroll, w, schedule)
+    w = from_rows(field, [[p - 1 if i == j else 0 for j in range(n)] for i in range(n)])
+    vectors = ((p - 1,) * n,) * (rho - 1) + ((1,) * n,)
+    w_x, w_theta = scaled_chain(w, vectors[::-1])
+    assert (w_x, w_theta) == tuple(oracle_chain(w, vectors))
     diagonal = (1 + (rho - 1) * (p - 1)) % p
-    assert unroll(w, schedule).w_theta == from_rows(
+    assert w_theta == from_rows(
         field, [[diagonal if i == j else 0 for j in range(n)] for i in range(n)])

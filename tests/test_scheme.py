@@ -15,10 +15,20 @@ from nnsig.errors import (
     DimensionMismatch,
     MalformedEncoding,
     ParameterError,
+    SingularWeightsError,
     UnsupportedVersion,
 )
 from nnsig.field import Field
-from nnsig.matrix import MatrixZp, PermutationMatrix, mat_inv, mat_pow, mat_vec, vec_add, vec_sub
+from nnsig.matrix import (
+    MatrixZp,
+    PermutationMatrix,
+    det,
+    mat_inv,
+    mat_pow,
+    mat_vec,
+    vec_add,
+    vec_sub,
+)
 from nnsig.network import NetworkConfig, SynapticWeights, build_network
 from nnsig.scheme import (
     Signature,
@@ -206,12 +216,14 @@ def test_derive_keypair_refuses_weights_the_secret_key_file_cannot_hold(f257):
     for bad in (
         MatrixZp(f257, tuple(map(tuple, rows))),
         MatrixZp(f257, tuple(map(tuple, three))),
-        MatrixZp(f257, weights.w.rows[:3]),
         MatrixZp(Field(263), tuple(tuple(262 if x == 256 else x for x in row)
                                    for row in weights.w.rows)),
     ):
         with pytest.raises(ParameterError):
             derive_keypair(config, SynapticWeights(bad), schedule, 3, 5, ident, ident)
+    with pytest.raises(DimensionMismatch):
+        derive_keypair(config, SynapticWeights(MatrixZp(f257, weights.w.rows[:3])), schedule,
+                       3, 5, ident, ident)
     _, sk = derive_keypair(config, weights, schedule, 3, 5, ident, ident)
     assert parse_secret_key(serialize_secret_key(sk)) == sk
 
@@ -229,9 +241,22 @@ def test_derive_keypair_refuses_schedules_and_weights_no_key_holds(f257):
     for bad in ((0,) + first[1:], (257,) + first[1:], first[:3]):
         with pytest.raises(ParameterError):
             derive_keypair(config, weights, AttentionSchedule((bad, second)), 3, 5, ident, ident)
-    singular = SynapticWeights(from_rows(f257, [[1, 256, 1, 1]] * 2 + [[1, 1, 256, 1]] * 2))
-    with pytest.raises(ParameterError):
-        derive_keypair(config, singular, schedule, 3, 5, ident, ident)
+    with pytest.raises(SingularWeightsError):
+        SynapticWeights(from_rows(f257, [[1, 256, 1, 1]] * 2 + [[1, 1, 256, 1]] * 2))
+
+
+def test_keygen_proves_the_weights_invertible_once(monkeypatch):
+    """The weights type runs the one det of a keygen whose first weight draw
+    is nonsingular; the secret key does not run it again."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return det(a)
+
+    monkeypatch.setattr("nnsig.network.det", counted)
+    _, sk = keygen(NetworkConfig(n=8, field=Field(257), rho=3, seed=b"once"), random.Random(2))
+    assert calls == [sk.weights.w]
 
 
 def test_parse_secret_key_refuses_singular_weights():

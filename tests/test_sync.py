@@ -15,12 +15,14 @@ from nnsig.errors import (
     MalformedEncoding,
     MalformedFrame,
     ParameterError,
+    SingularWeightsError,
     UnknownTag,
 )
 from nnsig.field import Field
 from nnsig.matrix import (
     MatrixZp,
     encode_matrix,
+    encode_vector,
     from_rows,
     identity,
     mat_add,
@@ -32,6 +34,8 @@ from nnsig.network import NetworkConfig, SynapticWeights, build_network
 from nnsig.scheme import hash_to_field
 from nnsig.sync import (
     MAX_PAYLOAD,
+    SETUP_MAGIC,
+    SETUP_VERSION,
     DhMatrixMessage,
     PublicVectorMessage,
     SessionState,
@@ -96,6 +100,14 @@ def test_create_redraws_a_dh_exponent_whose_share_is_the_identity():
     assert ta == tb
     with pytest.raises(ParameterError):
         SyncSession.create(SyncConfig(weights=SynapticWeights(w=identity(field, 2)), q=(3, 5)))
+
+
+def test_create_refuses_the_identity_base_matrix():
+    """At n = 1, W = [[1]] is valid +-1 weights and the identity, so every
+    DH share would be the identity too."""
+    config = SyncConfig(SynapticWeights(from_rows(Field(257), [[1]])), (3,), u=1)
+    with pytest.raises(ParameterError, match="identity"):
+        SyncSession.create(config, random.Random(1))
 
 
 def test_unit_dh_exponents_share_the_base_matrix():
@@ -407,11 +419,24 @@ def test_shared_setup_rejects_corruption(f257):
 
 def test_shared_setup_rejects_non_sign_entries_and_singular():
     f257 = Field(257)
-    # Constructor performs no validation, so these encode fine; the decoder
-    # is the gate.
-    skewed = SynapticWeights(w=from_rows(f257, [[1, 2], [1, 256]]))
-    with pytest.raises(MalformedEncoding):
-        decode_shared_setup(encode_shared_setup(skewed, (1, 2)))
-    singular = SynapticWeights(w=from_rows(f257, [[1, 1], [1, 1]]))
-    with pytest.raises(MalformedEncoding):
-        decode_shared_setup(encode_shared_setup(singular, (1, 2)))
+
+    # SynapticWeights refuses both bad matrices, so their files are built by
+    # hand; a valid matrix checks that the layout is the encoder's.
+    def setup_file(rows):
+        return (SETUP_MAGIC + bytes([SETUP_VERSION]) + struct.pack("<QI", 257, 2)
+                + encode_matrix(from_rows(f257, rows)) + encode_vector(f257, (1, 2)))
+
+    valid = SynapticWeights(from_rows(f257, [[1, 256], [1, 1]]))
+    assert setup_file([[1, 256], [1, 1]]) == encode_shared_setup(valid, (1, 2))
+    with pytest.raises(MalformedEncoding, match="every entry 1 or 256"):
+        decode_shared_setup(setup_file([[1, 2], [1, 256]]))
+    with pytest.raises(MalformedEncoding, match="singular"):
+        decode_shared_setup(setup_file([[1, 1], [1, 1]]))
+
+
+def test_sync_config_refuses_weights_no_setup_file_holds():
+    f257 = Field(257)
+    with pytest.raises(ParameterError):
+        SyncConfig(SynapticWeights(from_rows(f257, [[2, 3], [5, 7]])), (1, 2))
+    with pytest.raises(SingularWeightsError):
+        SyncConfig(SynapticWeights(from_rows(f257, [[1, 1], [1, 1]])), (1, 2))

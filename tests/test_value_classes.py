@@ -12,12 +12,12 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import pytest
 
-from nnsig.errors import DimensionMismatch, ParameterError
+from nnsig.errors import DimensionMismatch, ParameterError, SingularWeightsError
 from nnsig.field import Field, OpCounter
 from nnsig.hardness import MatrixPowerSolution, estimate, make_instance
 from nnsig.matrix import MatrixZp, PermutationMatrix
 from nnsig.metrics import MeasuredSizes, formula_sizes, op_count_report
-from nnsig.network import NetworkConfig, build_network, unroll
+from nnsig.network import NetworkConfig, SynapticWeights, build_network, unroll
 from nnsig.scheme import (
     Signature,
     keygen,
@@ -56,7 +56,9 @@ class Case(NamedTuple):
 CASES = {
     "MatrixZp": Case(_matrix, lambda: _matrix(0)),
     "SynapticWeights": Case(lambda: build_network(CONFIG)[0],
-                            lambda: build_network(NetworkConfig(4, FIELD, 2, b"x"))[0]),
+                            lambda: build_network(NetworkConfig(4, FIELD, 2, b"x"))[0],
+                            bad=(lambda: SynapticWeights(MatrixZp(FIELD, ((1, 1), (1, 1)))),
+                                 SingularWeightsError)),
     "AttentionSchedule": Case(lambda: build_network(CONFIG)[1],
                               lambda: build_network(NetworkConfig(4, FIELD, 3, b"values"))[1]),
     "UnrolledMaps": Case(lambda: unroll(WEIGHTS, SCHEDULE),

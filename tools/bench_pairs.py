@@ -39,13 +39,15 @@ QUARTILES = "statistics.quantiles(method='inclusive')"
 # (p, n) at rho=10: the parameter sets of the ROADMAP's performance aim.
 LAYER_SETS = ((257, 26), (257, 43), (2**61 - 1, 26), (257, 128))
 LAYER_RHO = 10
-LAYER_REPEATS = 5
+LAYER_REPEATS = 9
 FIRST_SEED = 901
 PAIRS = 10
 
 # Runs in a child interpreter with a checkout's src/ first on sys.path; prints
 # {"p=..,n=..": {stage: [seconds, ...]}}.  Each repeat builds a fresh key and
-# a fresh SyncConfig, so no squaring table or memo carries over.
+# a fresh SyncConfig, so no squaring table or memo carries over.  Repeat 0 of
+# each set is an untimed warm-up: the first pass through the set-up path runs
+# slower than the rest, and kept among the samples it widened the quartiles.
 LAYER_CHILD = r"""
 import json, os, random, sys, time
 if hasattr(os, "sched_setaffinity"):  # one CPU, as perfbench/run.py does
@@ -59,7 +61,7 @@ out = {}
 for p, n in sets:
     field = nnsig.Field(p)
     times = {"unroll": [], "keygen": [], "signer_setup": [], "sync_pair": []}
-    for k in range(repeats):
+    for k in range(repeats + 1):
         config = nnsig.NetworkConfig(n=n, field=field, rho=rho, seed=b"layers %d" % k)
         weights, schedule = build_network(config)
         t0 = clock(); unroll(weights, schedule); t1 = clock()
@@ -71,7 +73,8 @@ for p, n in sets:
                        nnsig.SyncSession.create(sync, random.Random(2 * k + 1)))
         t5 = clock()
         for stage, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2, t5 - t4)):
-            times[stage].append(seconds)
+            if k:
+                times[stage].append(seconds)
     out[f"p={p},n={n}"] = times
 print(json.dumps(out))
 """
@@ -256,9 +259,10 @@ def layer_table(dirs: dict) -> dict:
             rows[key][stage] = cell
     return {
         "what": f"wall time of each set-up stage in ms, rho={LAYER_RHO}, {PAIRS} alternating "
-                f"pairs of one child interpreter per checkout, {LAYER_REPEATS} repeats each; every "
-                "repeat builds a fresh key and SyncConfig (sync pair: two SyncSession.create "
-                "and run_pair, so the squares of W are paid in it)",
+                f"pairs of one child interpreter per checkout, {LAYER_REPEATS} timed repeats per "
+                "set after one untimed warm-up repeat; every repeat builds a fresh key and "
+                "SyncConfig (sync pair: two SyncSession.create and run_pair, so the squares of W "
+                "are paid in it)",
         "stages": rows,
     }
 
