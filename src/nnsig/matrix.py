@@ -7,24 +7,27 @@ once at the end.
 ``mat_mul``, ``mat_inv``, ``det`` and the powers of :class:`SquaringTable`
 work on packed rows (Kronecker substitution): a row of entries becomes one
 Python int with a fixed number of bytes per entry ("slot"), so one big-int
-multiply-add updates a whole row.  A slot is sized by :func:`_slot_width` to
-hold ``terms * (p - 1)**2 + p``, rounded up to 1, 2, 4 or 8 bytes where that
-suffices so that ``struct`` packs and unpacks it.  A product sums ``n_cols``
-products per slot; elimination adds ``(p - f) * pivot_row`` (never a negative
-slot) and reduces a row only when it becomes the pivot, so a slot takes at
-most ``n - 1`` additions of at most ``(p - 1)**2`` between reductions.  Both
-stay inside the slot, so no carry crosses into the next entry.  A product's
-rows are unpacked together, through one :func:`decode_uints` call.
+multiply-add updates a whole row.  :class:`PackedMatVec` packs a matrix's
+columns the same way, so ``A·v`` is one multiply-add per column.  A slot is
+sized by :func:`_slot_width` to hold ``terms * (p - 1)**2 + p``, rounded up
+to 1, 2, 4 or 8 bytes where that suffices so that ``struct`` packs and
+unpacks it.  A product sums ``n_cols`` products per slot; elimination adds
+``(p - f) * pivot_row`` (never a negative slot) and reduces a row only when
+it becomes the pivot, so a slot takes at most ``n - 1`` additions of at most
+``(p - 1)**2`` between reductions.  Both stay inside the slot, so no carry
+crosses into the next entry.  A product's rows are unpacked together,
+through one :func:`decode_uints` call.
 
 The bound holds only for entries in ``[0, p)``.  The range check runs once,
 where a matrix comes in from a caller: both operands of ``mat_mul``, the
 operand of ``mat_inv`` and ``det``, the base of a ``SquaringTable`` (and so
-of ``mat_pow``) and the matrix of :func:`scaled_chain` (the weights of
-``network.unroll``).  Any other entry raises ``ParameterError`` rather than
-give a wrong result.  Products a kernel takes of its own reduced output (the
-squares and multiplies inside a table, the steps of ``scaled_chain``) go
-through the unchecked :func:`_product` and never through the public
-``mat_mul``; the slot layout is known to this module only.
+of ``mat_pow``), the matrix of :func:`scaled_chain` (the weights of
+``network.unroll``) and that of a ``PackedMatVec``.  Any other entry raises
+``ParameterError`` rather than give a wrong result.  Products a kernel takes
+of its own reduced output (the squares and multiplies inside a table, the
+steps of ``scaled_chain``) go through the unchecked :func:`_product` and
+never through the public ``mat_mul``; the slot layout is known to this
+module only.
 
 Also home to the fixed-width little-endian codecs shared by key files,
 signature files and wire frames: a matrix is ``u32 rows | u32 cols | entries``
@@ -93,6 +96,12 @@ def from_rows(field: Field, rows) -> MatrixZp:
 
 def identity(field: Field, n: int) -> MatrixZp:
     return MatrixZp(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def is_identity(a: MatrixZp) -> bool:
+    """Whether a matrix is the identity, without building one to compare with."""
+    n = a.n_rows
+    return a.n_cols == n and all(r[i] == 1 and r.count(0) == n - 1 for i, r in enumerate(a.rows))
 
 
 def diag_from_vector(field: Field, v) -> MatrixZp:
@@ -422,6 +431,29 @@ def det(a: MatrixZp) -> int:
         subs += eliminated * (n - col)
     tally(muls=rows_done + subs + n, subs=subs, invs=n)
     return d
+
+
+class PackedMatVec:
+    """``A·v`` for one fixed matrix A and many vectors v: A is range-checked
+    and its columns packed once, here, so a product is one multiply-add per
+    column.  v is reduced first, so any int vector gives what ``mat_vec``
+    gives, and each call tallies what ``mat_vec`` tallies."""
+
+    def __init__(self, a: MatrixZp) -> None:
+        _check_entries(a)
+        self.matrix = a
+        self._width = _slot_width(a.field.p, a.n_cols)
+        self._cols = tuple([_pack(col, self._width) for col in zip(*a.rows)])
+
+    def __call__(self, v, first: int = 0) -> tuple:
+        """Rows ``first..`` of ``A·v``, as ``mat_vec`` gives them for those rows of A."""
+        a = self.matrix
+        if a.n_cols != len(v):
+            raise DimensionMismatch(f"{a.n_rows}x{a.n_cols} matrix times length-{len(v)} vector")
+        p, count = a.field.p, a.n_rows - first
+        total = sum(map(operator.mul, [x % p for x in v], self._cols))
+        tally(muls=count * a.n_cols, adds=count * (a.n_cols - 1))
+        return _unpack(total >> 8 * self._width * first, count, self._width, p)
 
 
 def mat_vec(a: MatrixZp, v) -> tuple:

@@ -7,7 +7,10 @@ embeds the message digest in the tail of two preimage vectors and pulls them
 back through ``Wbar_x^{-1} = w_x^{-a} @ L_x^{-1}``, inverted once per key;
 verification pushes the signature through only the rows of the public map
 that hold the digest tails and compares them.  Both sides keep the bias
-``Wbar_theta @ theta`` of the last theta they saw.
+``Wbar_theta @ theta`` of the last theta they saw and ``Wbar_theta`` packed
+(``matrix.PackedMatVec``), so a new theta costs one packed product; the
+public key also keeps the rows of ``Wbar_x`` that verification reads packed.
+These memos stay out of ``==`` and ``repr``.
 
 Verification adds the bias term after applying the public map — the variant
 that subtracts it first (kept behind ``literal_form=True``) does not invert
@@ -44,6 +47,7 @@ from .errors import DimensionMismatch, MalformedEncoding, ParameterError
 from .field import Field, FrozenValue, Value
 from .matrix import (
     MatrixZp,
+    PackedMatVec,
     PermutationMatrix,
     decode_uints,
     encode_elements,
@@ -120,14 +124,23 @@ def hash_to_field(message: bytes, n: int, field: Field) -> tuple:
 
 
 class PublicKey(FrozenValue):
-    """The public map; ``_bias`` memoises ``Wbar_theta @ theta`` (see _theta_bias)."""
+    """The public map; ``_bias`` and ``_theta_product`` are ``_theta_bias``'s memos,
+    ``_tail`` is ``_apply_tail``'s."""
 
     _fields = ("field", "n", "l", "w_x_bar", "w_theta_bar")
-    _bias: Optional[tuple] = None
+    _bias = _theta_product = _tail = None
 
     def __init__(self, field: Field, n: int, l: int, w_x_bar: MatrixZp,
                  w_theta_bar: MatrixZp) -> None:
         vars(self).update(field=field, n=n, l=l, w_x_bar=w_x_bar, w_theta_bar=w_theta_bar)
+
+    def _apply_tail(self, sigma, first_row: int) -> tuple:
+        """Rows first_row.. of Wbar_x @ sigma, from rows min(l, n - l).. packed on first use."""
+        first = min(self.l, self.n - self.l)
+        if self._tail is None:
+            rows = MatrixZp(self.field, self.w_x_bar.rows[first:])
+            object.__setattr__(self, "_tail", PackedMatVec(rows))
+        return self._tail(sigma, first_row - first)
 
 
 class Signature(NamedTuple):
@@ -142,7 +155,7 @@ class SecretKey(Value):
     """
 
     _fields = ("field", "n", "l", "l_x", "l_theta", "a", "b", "weights", "schedule")
-    _maps = _public = _sign_mat = _bias = None
+    _maps = _public = _sign_mat = _bias = _theta_product = None
 
     def __init__(self, field: Field, n: int, l: int, l_x: PermutationMatrix,
                  l_theta: PermutationMatrix, a: int, b: int,
@@ -207,7 +220,9 @@ def _theta_bias(owner, w_theta_bar: MatrixZp, theta) -> tuple:
     memo = owner._bias
     if memo is not None and memo[0] == key:
         return memo[1]
-    bias = mat_vec(w_theta_bar, key)
+    if owner._theta_product is None:
+        object.__setattr__(owner, "_theta_product", PackedMatVec(w_theta_bar))
+    bias = owner._theta_product(key)
     object.__setattr__(owner, "_bias", (key, bias))
     return bias
 
@@ -304,10 +319,10 @@ def verify(
 
     def reconstruct(sigma, first_row):
         """Rows first_row.. of the public map applied to sigma, with the bias."""
-        rows = MatrixZp(field, pk.w_x_bar.rows[first_row:])
         if literal_form:
+            rows = MatrixZp(field, pk.w_x_bar.rows[first_row:])
             return mat_vec(rows, vec_sub(field, sigma, bias))
-        return vec_add(field, mat_vec(rows, sigma), bias[first_row:])
+        return vec_add(field, pk._apply_tail(sigma, first_row), bias[first_row:])
 
     if reconstruct(signature.sigma0, n - l) != h0:
         return False

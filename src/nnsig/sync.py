@@ -51,7 +51,7 @@ from .matrix import (
     encode_vector,
     expect_end,
     field_from_wire,
-    identity,
+    is_identity,
     mat_pow,
     read_header,
     read_matrix,
@@ -210,13 +210,12 @@ class SyncSession(Value):
         """
         rng = rng or secrets.SystemRandom()
         p = config.field.p
-        one = identity(config.field, config.n)
-        if config.weights.w == one:
+        if is_identity(config.weights.w):
             raise ParameterError("the base matrix is the identity, so every DH share would be")
         while True:
             dh_exponent = rng.randrange(1, p)
             share = config.base_powers.mat_pow(dh_exponent)
-            if share != one:
+            if not is_identity(share):
                 break
         session = cls(
             config=config,
@@ -259,7 +258,7 @@ class SyncSession(Value):
         if det(peer) == 0:
             raise MalformedFrame("peer DH share is singular")
         # The identity share fixes W_s = I, whatever our exponent is.
-        if peer == identity(peer.field, n):
+        if is_identity(peer):
             raise MalformedFrame("peer DH share is the identity")
         self.transcript.append(("recv", wire_encode(msg)))
         shared = mat_pow(peer, self.dh_exponent)
@@ -299,6 +298,13 @@ class SyncSession(Value):
 # --- transports ----------------------------------------------------------------
 
 
+def _frame(session: SyncSession, send) -> bytes:
+    """Run one of the session's sending steps; returns the frame its transcript
+    recorded, which a transport sends as it is rather than encode it again."""
+    send()
+    return session.transcript[-1][1]
+
+
 def run_pair(a: SyncSession, b: SyncSession) -> Tuple[tuple, tuple]:
     """Drive two in-process sessions to completion; returns (theta_a, theta_b).
 
@@ -306,14 +312,14 @@ def run_pair(a: SyncSession, b: SyncSession) -> Tuple[tuple, tuple]:
     """
     field = a.config.field
 
-    def ship(msg):
-        return wire_decode(wire_encode(msg), field)
+    def ship(session, send):
+        return wire_decode(_frame(session, send), field)
 
-    da, db = a.dh_message(), b.dh_message()
-    a.receive_dh(ship(db))
-    b.receive_dh(ship(da))
-    pa, pb = a.public_vector(), b.public_vector()
-    return a.finalize(ship(pb)), b.finalize(ship(pa))
+    da, db = ship(a, a.dh_message), ship(b, b.dh_message)
+    a.receive_dh(db)
+    b.receive_dh(da)
+    pa, pb = ship(a, a.public_vector), ship(b, b.public_vector)
+    return a.finalize(pb), b.finalize(pa)
 
 
 def _recv_exact(sock, count: int) -> bytes:
@@ -341,9 +347,9 @@ def run_over_socket(session: SyncSession, sock) -> tuple:
     buffering makes the symmetric order deadlock-free.
     """
     field = session.config.field
-    sock.sendall(wire_encode(session.dh_message()))
+    sock.sendall(_frame(session, session.dh_message))
     session.receive_dh(recv_frame(sock, field))
-    sock.sendall(wire_encode(session.public_vector()))
+    sock.sendall(_frame(session, session.public_vector))
     return session.finalize(recv_frame(sock, field))
 
 

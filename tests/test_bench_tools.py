@@ -1,7 +1,7 @@
 """The paired-benchmark tool's layer child, run against this tree's ``src``.
 
 CI only imports ``tools/bench_pairs.py``; the child that times the set-up
-stages runs only inside a benchmark, so an API change could break it unseen.
+and per-message stages runs only inside a benchmark, so an API change could break it unseen.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ def test_layer_child_times_the_four_set_up_stages():
             json.dumps([[257, 8]]), "2", "2"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    stages = json.loads(proc.stdout)["p=257,n=8"]
-    assert list(stages) == ["unroll", "keygen", "signer_setup", "sync_pair"]
-    for times in stages.values():
+    result = json.loads(proc.stdout)["p=257,n=8"]
+    stages = result["stages"]
+    assert list(stages) == ["unroll", "keygen", "signer_setup", "sync_pair",
+                            "sign", "verify", "theta_switch"]
+    for times in (*stages.values(), result["calibration"]):
         assert len(times) == 2 and all(t > 0 for t in times)

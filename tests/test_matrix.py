@@ -21,6 +21,7 @@ from nnsig.matrix import (
     encode_vector,
     from_rows,
     identity,
+    is_identity,
     mat_add,
     mat_inv,
     mat_mul,
@@ -33,6 +34,19 @@ from nnsig.matrix import (
     vec_mat,
     vec_sub,
 )
+
+
+def test_is_identity_checks_every_entry(f7):
+    def eye(n):
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+
+    stray, two = eye(4), eye(4)
+    stray[2][0] = 1
+    two[3][3] = 2
+    assert is_identity(identity(f7, 4)) and is_identity(from_rows(f7, eye(1)))
+    assert not is_identity(from_rows(f7, stray))
+    assert not is_identity(from_rows(f7, two))
+    assert not is_identity(from_rows(f7, eye(3)[:2]))  # not square
 
 
 def test_identity_is_neutral(f7):

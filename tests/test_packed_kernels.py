@@ -3,13 +3,15 @@
 ``mat_mul``, ``mat_inv``, ``det``, ``SquaringTable.mat_pow`` and
 ``SquaringTable.vec_pow`` in ``nnsig.matrix`` and ``unroll`` in
 ``nnsig.network`` (through ``matrix.scaled_chain``) run on rows packed into
-single ints.  The reference
+single ints, and ``PackedMatVec`` on packed columns.  The reference
 versions below are the entry-by-entry loops they replaced, op counting
-included; every kernel must return the same entries, raise at the same point
-and count the same field operations.
+included (``mat_vec`` is ``PackedMatVec``'s); every kernel must return the
+same entries, raise at the same point and count the same field operations.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, reject, settings
@@ -19,6 +21,7 @@ from nnsig.errors import ParameterError, SingularMatrixError, SingularWeightsErr
 from nnsig.field import Field, count_ops, tally
 from nnsig.matrix import (
     MatrixZp,
+    PackedMatVec,
     SquaringTable,
     det,
     from_rows,
@@ -26,6 +29,8 @@ from nnsig.matrix import (
     mat_inv,
     mat_mul,
     mat_pow,
+    mat_vec,
+    random_matrix,
     scaled_chain,
 )
 from nnsig.network import AttentionSchedule, SynapticWeights, UnrolledMaps, unroll
@@ -304,12 +309,42 @@ def test_entries_outside_the_field_are_refused(bad):
         lambda: mat_pow(off, 0),
         lambda: mat_pow(off, 1),
         lambda: mat_pow(off, 5),
-        lambda: unroll(SynapticWeights(off), AttentionSchedule(((1, 2),))),
-        lambda: unroll(SynapticWeights(off), AttentionSchedule(((1, 2), (3, 4)))),
+        lambda: SynapticWeights(off),  # so no such weights reach unroll
         lambda: scaled_chain(off, ((1, 2),)),
+        lambda: PackedMatVec(off),
     ):
         with pytest.raises(ParameterError):
             call()
+
+
+@st.composite
+def _mat_vec_operands(draw):
+    """A matrix, a vector of any ints and a first row.  At p = 7, 257, 65537
+    and 2^61 - 1 with up to 6 columns a slot takes 1, 4 and 8 bytes and,
+    at 2^61 - 1, more than 8 (one ``int.from_bytes`` per slot)."""
+    field = Field(draw(st.sampled_from([7, 257, 65537, 2**61 - 1])))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    v = draw(st.lists(st.integers(0, field.p - 1) | st.integers(), min_size=cols, max_size=cols))
+    return _matrix(field, rows, cols, draw), tuple(v), draw(st.integers(0, rows - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mat_vec_operands())
+def test_packed_mat_vec_matches_mat_vec(operands):
+    a, v, first = operands
+    product = PackedMatVec(a)
+    _same(lambda: product(v, first), lambda: mat_vec(MatrixZp(a.field, a.rows[first:]), v))
+
+
+@pytest.mark.parametrize("p", [7, 257, 65537, 2**61 - 1])
+def test_packed_mat_vec_reduces_entries_outside_the_field(p):
+    field = Field(p)
+    a = random_matrix(field, 43, 43, random.Random(p))
+    product = PackedMatVec(a)
+    rng = random.Random(p + 1)
+    v = tuple(rng.choice((-1, -p, p, 2 * p + 3, -(10**30), 10**30 + 7)) for _ in range(43))
+    assert product(v) == mat_vec(a, v)
+    assert product(v, 21) == mat_vec(a, v)[21:]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -18,9 +18,10 @@ from nnsig.errors import (
     SingularWeightsError,
     UnsupportedVersion,
 )
-from nnsig.field import Field
+from nnsig.field import Field, count_ops
 from nnsig.matrix import (
     MatrixZp,
+    PackedMatVec,
     PermutationMatrix,
     det,
     mat_inv,
@@ -449,6 +450,66 @@ def test_split_index_edges():
         theta = _theta(pk.field, 8)
         sig = sign(sk, theta, b"edge", random.Random(8))
         assert verify(pk, theta, b"edge", sig)
+
+
+def _verify_oracle(pk, theta, message, sig):
+    """verify through ``mat_vec`` over row slices of the public map."""
+    n, l, field = pk.n, pk.l, pk.field
+    h = hash_to_field(message, n, field)
+    bias = mat_vec(pk.w_theta_bar, theta)
+
+    def tail(sigma, first):
+        rows = MatrixZp(field, pk.w_x_bar.rows[first:])
+        return vec_add(field, mat_vec(rows, sigma), bias[first:])
+
+    return tail(sig.sigma0, n - l) == h[:l] and tail(sig.sigma1, l) == h[l:]
+
+
+@pytest.mark.parametrize("l", [1, 6, 12])
+def test_verify_matches_the_mat_vec_reconstruction(l):
+    """Same verdicts and same field-op tallies at an odd n, where the packed
+    tail rows are one row more than one half reads."""
+    pk, sk = _keypair(n=13, l=l)
+    field = pk.field
+    thetas = [_theta(field, 13, seed) for seed in (1, 2)]
+    rng = random.Random(l)
+    verdicts = []
+    for k in range(16):
+        theta = thetas[k % 2]  # a new theta every call, so each call pays its bias
+        message = b"oracle %d" % k
+        sig = sign(sk, thetas[k // 2 % 2], message, rng)
+        if k % 4 == 3:
+            sig = Signature(field.sample_vector(rng, 13), sig.sigma1)
+        checked = message if k % 8 < 4 else message + b"!"
+        with count_ops() as got:
+            verdict = verify(pk, theta, checked, sig)
+        with count_ops() as want:
+            assert verdict == _verify_oracle(pk, theta, checked, sig)
+        assert got == want
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_rotating_thetas_packs_each_key_once(monkeypatch):
+    """Four thetas in turn over many signatures: the signer packs Wbar_theta
+    once, the verifier Wbar_theta and the tail rows of Wbar_x once."""
+    packed = []
+
+    class Counted(PackedMatVec):
+        def __init__(self, a):
+            packed.append(a)
+            super().__init__(a)
+
+    monkeypatch.setattr("nnsig.scheme.PackedMatVec", Counted)
+    pk, sk = _keypair(n=9)
+    thetas = [_theta(pk.field, 9, seed) for seed in range(4)]
+    rng = random.Random(4)
+    for k in range(48):
+        theta = thetas[k // 3 % 4]
+        sig = sign(sk, theta, b"rotate %d" % k, rng)
+        assert verify(pk, theta, b"rotate %d" % k, sig)
+    first = min(pk.l, pk.n - pk.l)
+    assert packed == [pk.w_theta_bar, pk.w_theta_bar, MatrixZp(pk.field, pk.w_x_bar.rows[first:])]
 
 
 def test_shape_errors():

@@ -312,6 +312,29 @@ def test_wire_rejects_bad_payload(f257):
         wire_decode(bytes(good), f257)
 
 
+def _frames(session, kind):
+    return [frame for k, frame in session.transcript if k == kind]
+
+
+def test_each_sent_frame_is_encoded_once(monkeypatch):
+    """The transports send the frames the sessions recorded: one encoding per
+    message sent, and one per message received, for the receiver's transcript."""
+    encoded = []
+    real = wire_encode
+
+    def counted(msg):
+        encoded.append(msg)
+        return real(msg)
+
+    monkeypatch.setattr("nnsig.sync.wire_encode", counted)
+    config = _setup(n=4)
+    a = SyncSession.create(config, random.Random(42))
+    b = SyncSession.create(config, random.Random(43))
+    run_pair(a, b)
+    assert len(encoded) == 8
+    assert _frames(a, "send") == _frames(b, "recv") and _frames(b, "send") == _frames(a, "recv")
+
+
 def test_socket_loopback_run():
     config = _setup(n=4)
     a = SyncSession.create(config, random.Random(40))
@@ -332,6 +355,7 @@ def test_socket_loopback_run():
         right.close()
     assert not t.is_alive()
     assert theta_a == result["b"]
+    assert _frames(a, "send") == _frames(b, "recv") and _frames(b, "send") == _frames(a, "recv")
 
 
 def test_recv_frame_on_closed_socket(f257):

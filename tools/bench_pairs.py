@@ -12,15 +12,17 @@ run as long as ``BENCHMARK.json``'s ``run_seconds``, and writes
 each side's runs with their median and quartiles, the change in the median,
 the number of pairs the change won, and whether the median moved in the
 better direction by more than the parent's interquartile range.  It adds a
-table of set-up stages (unroll, keygen, signer setup, sync pair) at the
-ROADMAP's four parameter sets, timed in a child interpreter per checkout,
-again alternating.  Standard library only.
+table of stages (unroll, keygen, signer setup, sync pair, sign, verify and
+the bias of a fresh theta) at the ROADMAP's four parameter sets, timed in a
+child interpreter per checkout, again alternating, in milliseconds and in
+runs of perfbench's calibration kernel.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import platform
 import shutil
@@ -44,38 +46,76 @@ FIRST_SEED = 901
 PAIRS = 10
 
 # Runs in a child interpreter with a checkout's src/ first on sys.path; prints
-# {"p=..,n=..": {stage: [seconds, ...]}}.  Each repeat builds a fresh key and
-# a fresh SyncConfig, so no squaring table or memo carries over.  Repeat 0 of
-# each set is an untimed warm-up: the first pass through the set-up path runs
-# slower than the rest, and kept among the samples it widened the quartiles.
+# {"p=..,n=..": {"stages": {stage: [seconds, ...]}, "calibration": [seconds, ...]}}.
+# Each repeat builds a fresh key and a fresh SyncConfig, so no squaring table
+# or memo carries over from one repeat to the next.  Repeat 0 of each set is an
+# untimed warm-up: the first pass through the set-up path runs slower than the
+# rest, and kept among the samples it widened the quartiles.  Within a repeat,
+# one untimed sign and verify fill the keys' memos, then sign and verify are
+# timed per message over MESSAGES messages under one theta, and theta_switch
+# is the bias of a fresh theta (scheme._theta_bias on the public key), per
+# theta over MESSAGES thetas.  Calibration is the median time of perfbench's
+# calibration kernel, run CAL_RUNS times before and after a repeat's stages.
 LAYER_CHILD = r"""
-import json, os, random, sys, time
+import json, os, random, statistics, sys, time
 if hasattr(os, "sched_setaffinity"):  # one CPU, as perfbench/run.py does
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 sys.path.insert(0, sys.argv[1])
+sys.path.insert(0, os.path.join(os.path.dirname(sys.argv[1]), "perfbench"))
 import nnsig
 from nnsig.network import build_network, unroll
+from nnsig.scheme import _theta_bias
+from harness import calibration_kernel
 sets, rho, repeats = json.loads(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+MESSAGES, CAL_RUNS = 16, 3
 clock = time.perf_counter
+
+def calibrate():
+    times = []
+    for _ in range(CAL_RUNS):
+        t0 = clock(); calibration_kernel(); times.append(clock() - t0)
+    return times
+
+def per_call(fn, args):
+    t0 = clock()
+    for a in args:
+        fn(*a)
+    return (clock() - t0) / len(args)
+
 out = {}
 for p, n in sets:
     field = nnsig.Field(p)
-    times = {"unroll": [], "keygen": [], "signer_setup": [], "sync_pair": []}
+    stages = ("unroll", "keygen", "signer_setup", "sync_pair", "sign", "verify", "theta_switch")
+    times = {stage: [] for stage in stages}
+    calibration = []
     for k in range(repeats + 1):
+        cal = calibrate()
         config = nnsig.NetworkConfig(n=n, field=field, rho=rho, seed=b"layers %d" % k)
         weights, schedule = build_network(config)
         t0 = clock(); unroll(weights, schedule); t1 = clock()
         pk, sk = nnsig.keygen(config, random.Random(k)); t2 = clock()
         sk.signing_matrix(); t3 = clock()
-        sync = nnsig.SyncConfig(weights=sk.weights, q=field.sample_vector(random.Random(k), n))
+        rng = random.Random(k)
+        sync = nnsig.SyncConfig(weights=sk.weights, q=field.sample_vector(rng, n))
         t4 = clock()
         nnsig.run_pair(nnsig.SyncSession.create(sync, random.Random(2 * k)),
                        nnsig.SyncSession.create(sync, random.Random(2 * k + 1)))
         t5 = clock()
-        for stage, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2, t5 - t4)):
-            if k:
+        theta = field.sample_vector(rng, n)
+        nnsig.verify(pk, theta, b"", nnsig.sign(sk, theta, b"", rng))
+        messages = [rng.randbytes(1024) for _ in range(MESSAGES)]
+        sign_s = per_call(nnsig.sign, [(sk, theta, m, rng) for m in messages])
+        signed = [(pk, theta, m, nnsig.sign(sk, theta, m, rng)) for m in messages]
+        verify_s = per_call(nnsig.verify, signed)
+        fresh = [(pk, pk.w_theta_bar, field.sample_vector(rng, n)) for _ in range(MESSAGES)]
+        switch_s = per_call(_theta_bias, fresh)
+        cal += calibrate()
+        if k:
+            for stage, seconds in zip(stages, (t1 - t0, t2 - t1, t3 - t2, t5 - t4,
+                                               sign_s, verify_s, switch_s)):
                 times[stage].append(seconds)
-    out[f"p={p},n={n}"] = times
+            calibration.append(statistics.median(cal))
+    out[f"p={p},n={n}"] = {"stages": times, "calibration": calibration}
 print(json.dumps(out))
 """
 
@@ -213,8 +253,8 @@ def main(argv=None) -> int:
 
     record = {
         "what": "End-to-end perfbench metrics of the parent commit and of this change, in "
-                "alternating pairs on one host; and the set-up stages at the four ROADMAP "
-                "parameter sets.",
+                "alternating pairs on one host; and the set-up and per-message stages at the "
+                "four ROADMAP parameter sets.",
         "benchmark": {
             "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {seconds:g}",
             "environment": ENV,
@@ -239,30 +279,39 @@ def main(argv=None) -> int:
 
 
 def layer_table(dirs: dict) -> dict:
-    """Median, quartiles and change of each set-up stage, in milliseconds."""
+    """Median, quartiles and change of each stage, in milliseconds and in runs
+    of perfbench's calibration kernel timed next to it."""
     samples = {"parent": {}, "change": {}}
     for k in range(PAIRS):
         for side, checkout in alternate(k, *dirs.values()):
-            for key, stages in run_layers(checkout).items():
-                for stage, seconds in stages.items():
-                    samples[side].setdefault(key, {}).setdefault(stage, []).extend(seconds)
+            for key, result in run_layers(checkout).items():
+                for stage, seconds in result["stages"].items():
+                    cell = samples[side].setdefault(key, {}).setdefault(stage, {"ms": [], "cal": []})
+                    cell["ms"].extend(1e3 * s for s in seconds)
+                    cell["cal"].extend(map(operator.truediv, seconds, result["calibration"]))
             print(f"layers pair {k} {side} done", file=sys.stderr, flush=True)
     rows = {}
     for key, stages in samples["parent"].items():
         rows[key] = {}
         for stage, before in stages.items():
-            after = samples["change"][key][stage]
-            cell = compare([1e3 * s for s in before], [1e3 * s for s in after], True)
-            for side in ("parent", "change"):
-                cell[side] = {k: v for k, v in cell[side].items() if k != "runs"}
-            del cell["change_wins"]  # repeats within a pair are not paired samples
-            rows[key][stage] = cell
+            rows[key][stage] = {}
+            for unit in ("ms", "cal"):
+                cell = compare(before[unit], samples["change"][key][stage][unit], True)
+                for side in ("parent", "change"):
+                    cell[side] = {k: v for k, v in cell[side].items() if k != "runs"}
+                del cell["change_wins"]  # repeats within a pair are not paired samples
+                rows[key][stage][unit] = cell
     return {
-        "what": f"wall time of each set-up stage in ms, rho={LAYER_RHO}, {PAIRS} alternating "
-                f"pairs of one child interpreter per checkout, {LAYER_REPEATS} timed repeats per "
-                "set after one untimed warm-up repeat; every repeat builds a fresh key and "
-                "SyncConfig (sync pair: two SyncSession.create and run_pair, so the squares of W "
-                "are paid in it)",
+        "what": f"time of each stage, rho={LAYER_RHO}, {PAIRS} alternating pairs of one child "
+                f"interpreter per checkout, {LAYER_REPEATS} timed repeats per set after one "
+                "untimed warm-up repeat; every repeat builds a fresh key and SyncConfig (sync "
+                "pair: two SyncSession.create and run_pair, so the squares of W are paid in "
+                "it). sign and verify: per message, 16 messages of 1 KiB under one theta, "
+                "after one untimed sign and verify; theta_switch: the bias of a fresh theta "
+                "on the public key, per theta over 16 thetas",
+        "units": {"ms": "milliseconds",
+                  "cal": "runs of perfbench's calibration kernel (harness.calibration_kernel), "
+                         "the median of 6 runs around the same repeat"},
         "stages": rows,
     }
 
