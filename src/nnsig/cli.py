@@ -279,9 +279,13 @@ def cmd_params(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    from .hardness import brute_force_solve, make_instance
+    from .hardness import (
+        SOLVER_N_LIMIT, SOLVER_P_LIMIT, _check_limits, brute_force_solve, make_instance,
+    )
 
     field = Field(args.p)
+    # Refuse before planting: the plant alone is an O(n^3) draw and a mat_pow.
+    _check_limits(args.n, args.p, SOLVER_N_LIMIT, SOLVER_P_LIMIT)
     rng = _rng_for(_master_seed(args), b"attack")
     instance, planted = make_instance(args.n, field, rng)
     start = time.perf_counter()

@@ -76,11 +76,12 @@ def verify_solution(instance: MatrixPowerInstance, solution: MatrixPowerSolution
     return candidate.rows == instance.b_mat.rows
 
 
-def _check_limits(instance: MatrixPowerInstance, n_limit: int, p_limit: int) -> None:
-    if instance.n > n_limit:
-        raise LimitExceeded(f"n={instance.n} above solver guardrail {n_limit}")
-    if instance.field.p > p_limit:
-        raise LimitExceeded(f"p={instance.field.p} above solver guardrail {p_limit}")
+def _check_limits(n: int, p: int, n_limit: int, p_limit: int) -> None:
+    """Refuse a search over n x n instances mod p beyond the guardrails."""
+    if n > n_limit:
+        raise LimitExceeded(f"n={n} above solver guardrail {n_limit}")
+    if p > p_limit:
+        raise LimitExceeded(f"p={p} above solver guardrail {p_limit}")
 
 
 def _search(
@@ -94,7 +95,7 @@ def _search(
     """
     from .matrix import mat_mul, mat_pow
 
-    _check_limits(instance, n_limit, p_limit)
+    _check_limits(instance.n, instance.field.p, n_limit, p_limit)
     perms = tuple(perms)
     a_mat, target = instance.a_mat, instance.b_mat.rows
     hits = []

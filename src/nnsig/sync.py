@@ -18,9 +18,12 @@ fixes ``W_s`` (and with it the mask) whatever our exponent is; ``create``
 redraws d while ``W^d`` is the identity, so an honest party never sends it.
 
 Wire frames are ``u8 tag | u32le length | payload`` with tag 0x01 carrying a
-matrix (the DH share) and 0x02 a vector (the public share).  Sessions are
-strict state machines — any out-of-order call raises InvalidStateError and
-leaves the session untouched.
+matrix (the DH share) and 0x02 a vector (the public share).  A session is the
+only code that encodes or decodes them: its sending steps return frame bytes
+and its receiving steps take frame bytes, so a transport only moves bytes, and
+the transcript holds exactly what crossed the wire.  Sessions are strict state
+machines — any out-of-order call raises InvalidStateError and leaves the
+session untouched, as does any frame it refuses.
 """
 
 from __future__ import annotations
@@ -101,11 +104,11 @@ def wire_encode(msg: SyncMessage) -> bytes:
     return _HDR.pack(tag, len(payload)) + payload
 
 
-def _frame_header(data: bytes, offset: int) -> Tuple[int, int]:
-    """Check the frame header at offset; returns (tag, payload length)."""
-    if len(data) < offset + _HDR.size:
+def _frame_header(data: bytes) -> Tuple[int, int]:
+    """Check the frame header data starts with; returns (tag, payload length)."""
+    if len(data) < _HDR.size:
         raise MalformedFrame("truncated frame header")
-    tag, length = _HDR.unpack_from(data, offset)
+    tag, length = _HDR.unpack_from(data)
     if tag not in (TAG_DH_MATRIX, TAG_PUBLIC_VECTOR):
         raise UnknownTag(f"unknown frame tag 0x{tag:02x}")
     if length > MAX_PAYLOAD:
@@ -113,31 +116,21 @@ def _frame_header(data: bytes, offset: int) -> Tuple[int, int]:
     return tag, length
 
 
-def _decode_payload(tag: int, payload: bytes, field: Field) -> SyncMessage:
-    """The message a checked header's tag announces, decoded from its payload."""
+def wire_decode(data: bytes, field: Field) -> SyncMessage:
+    """Decode one whole frame, which must end where its payload does."""
+    tag, length = _frame_header(data)
+    end = _HDR.size + length
+    if len(data) < end:
+        raise MalformedFrame("truncated frame payload")
+    if len(data) > end:
+        raise MalformedFrame("trailing bytes after frame")
+    payload = data[_HDR.size:]
     try:
         if tag == TAG_DH_MATRIX:
             return DhMatrixMessage(decode_matrix(field, payload))
         return PublicVectorMessage(field, decode_vector(field, payload))
     except MalformedEncoding as exc:
         raise MalformedFrame(f"bad frame payload: {exc}") from exc
-
-
-def read_frame(data: bytes, field: Field, offset: int = 0) -> Tuple[SyncMessage, int]:
-    """Decode one frame at offset; returns (message, next_offset)."""
-    tag, length = _frame_header(data, offset)
-    offset += _HDR.size
-    end = offset + length
-    if len(data) < end:
-        raise MalformedFrame("truncated frame payload")
-    return _decode_payload(tag, data[offset:end], field), end
-
-
-def wire_decode(data: bytes, field: Field) -> SyncMessage:
-    msg, end = read_frame(data, field, 0)
-    if end != len(data):
-        raise MalformedFrame("trailing bytes after frame")
-    return msg
 
 
 # --- session ------------------------------------------------------------------
@@ -179,7 +172,11 @@ class SyncConfig(FrozenValue):
 
 class SyncSession(Value):
     """One party's view of a run; drive it dh_message -> receive_dh ->
-    public_vector -> finalize."""
+    public_vector -> finalize.
+
+    The sending steps return the frame to send and the receiving steps take
+    the frame received; ``transcript`` lists each as ("send" or "recv", bytes).
+    """
 
     _fields = ("config", "dh_exponent", "mix_exponents", "state", "transcript",
                "shared_matrix", "mask", "local_public", "theta")
@@ -231,28 +228,29 @@ class SyncSession(Value):
                 f"{call}() is only valid in state {state.value}, session is {self.state.value}"
             )
 
-    def dh_message(self) -> DhMatrixMessage:
-        """Our DH share W^d."""
+    def _send(self, msg: SyncMessage, state: SessionState) -> bytes:
+        frame = wire_encode(msg)
+        self.transcript.append(("send", frame))
+        self.state = state
+        return frame
+
+    def dh_message(self) -> bytes:
+        """The frame of our DH share W^d."""
         self._expect(SessionState.INIT, "dh_message")
         share = self._dh_share
         if share is None:
             share = self.config.base_powers.mat_pow(self.dh_exponent)
-        msg = DhMatrixMessage(share)
-        self.transcript.append(("send", wire_encode(msg)))
-        self.state = SessionState.SENT_DH
-        return msg
+        return self._send(DhMatrixMessage(share), SessionState.SENT_DH)
 
-    def receive_dh(self, msg: DhMatrixMessage) -> None:
-        """Absorb the peer's DH share and derive W_s and the mask r."""
+    def receive_dh(self, frame: bytes) -> None:
+        """Absorb the frame of the peer's DH share and derive W_s and the mask r."""
         self._expect(SessionState.SENT_DH, "receive_dh")
+        msg = wire_decode(frame, self.config.field)
         if not isinstance(msg, DhMatrixMessage):
             raise MalformedFrame(f"expected a DH matrix frame, got {type(msg).__name__}")
-        peer = msg.matrix
-        n = self.config.n
+        peer, n = msg.matrix, self.config.n
         if peer.n_rows != n or peer.n_cols != n:
             raise MalformedFrame(f"peer DH share is {peer.n_rows}x{peer.n_cols}, expected {n}x{n}")
-        if peer.field.p != self.config.field.p:
-            raise MalformedFrame("peer DH share uses a different modulus")
         # A singular share (all-zero, say) gives a singular W_s whatever our
         # exponent is: the all-zero share fixes W_s = 0 and with it the mask.
         if det(peer) == 0:
@@ -260,14 +258,14 @@ class SyncSession(Value):
         # The identity share fixes W_s = I, whatever our exponent is.
         if is_identity(peer):
             raise MalformedFrame("peer DH share is the identity")
-        self.transcript.append(("recv", wire_encode(msg)))
+        self.transcript.append(("recv", frame))
         shared = mat_pow(peer, self.dh_exponent)
         self.shared_matrix = shared
         self.mask = hash_to_field(encode_matrix(shared), n, self.config.field)
         self.state = SessionState.HAVE_SHARED
 
-    def public_vector(self) -> PublicVectorMessage:
-        """Our masked public share P = Q @ sum_i W_s^alpha_i + r."""
+    def public_vector(self) -> bytes:
+        """The frame of our masked public share P = Q @ sum_i W_s^alpha_i + r."""
         self._expect(SessionState.HAVE_SHARED, "public_vector")
         field = self.config.field
         powers = SquaringTable(self.shared_matrix)
@@ -275,21 +273,19 @@ class SyncSession(Value):
         for alpha in self.mix_exponents:
             p_vec = vec_add(field, p_vec, powers.vec_pow(self.config.q, alpha))
         self.local_public = p_vec
-        msg = PublicVectorMessage(field, p_vec)
-        self.transcript.append(("send", wire_encode(msg)))
-        self.state = SessionState.SENT_PUBLIC
-        return msg
+        return self._send(PublicVectorMessage(field, p_vec), SessionState.SENT_PUBLIC)
 
-    def finalize(self, msg: PublicVectorMessage) -> tuple:
-        """Combine shares: theta = P_own + P_peer."""
+    def finalize(self, frame: bytes) -> tuple:
+        """Combine our share with the peer's, from its frame: theta = P_own + P_peer."""
         self._expect(SessionState.SENT_PUBLIC, "finalize")
+        msg = wire_decode(frame, self.config.field)
         if not isinstance(msg, PublicVectorMessage):
             raise MalformedFrame(f"expected a public-vector frame, got {type(msg).__name__}")
         if len(msg.vector) != self.config.n:
             raise MalformedFrame(
                 f"peer public share has length {len(msg.vector)}, expected {self.config.n}"
             )
-        self.transcript.append(("recv", wire_encode(msg)))
+        self.transcript.append(("recv", frame))
         self.theta = vec_add(self.config.field, self.local_public, msg.vector)
         self.state = SessionState.DONE
         return self.theta
@@ -298,27 +294,15 @@ class SyncSession(Value):
 # --- transports ----------------------------------------------------------------
 
 
-def _frame(session: SyncSession, send) -> bytes:
-    """Run one of the session's sending steps; returns the frame its transcript
-    recorded, which a transport sends as it is rather than encode it again."""
-    send()
-    return session.transcript[-1][1]
-
-
 def run_pair(a: SyncSession, b: SyncSession) -> Tuple[tuple, tuple]:
     """Drive two in-process sessions to completion; returns (theta_a, theta_b).
 
-    Every message goes through the wire codec, as it would between hosts.
+    Each session receives the frames the other sent, as it would between hosts.
     """
-    field = a.config.field
-
-    def ship(session, send):
-        return wire_decode(_frame(session, send), field)
-
-    da, db = ship(a, a.dh_message), ship(b, b.dh_message)
+    da, db = a.dh_message(), b.dh_message()
     a.receive_dh(db)
     b.receive_dh(da)
-    pa, pb = ship(a, a.public_vector), ship(b, b.public_vector)
+    pa, pb = a.public_vector(), b.public_vector()
     return a.finalize(pb), b.finalize(pa)
 
 
@@ -334,10 +318,11 @@ def _recv_exact(sock, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock, field: Field) -> SyncMessage:
-    """Read one frame; a bad header is refused before any payload is read."""
-    tag, length = _frame_header(_recv_exact(sock, _HDR.size), 0)
-    return _decode_payload(tag, _recv_exact(sock, length), field)
+def recv_frame(sock) -> bytes:
+    """Read one whole frame; a bad header is refused before any payload is read."""
+    header = _recv_exact(sock, _HDR.size)
+    _, length = _frame_header(header)
+    return header + _recv_exact(sock, length)
 
 
 def run_over_socket(session: SyncSession, sock) -> tuple:
@@ -346,11 +331,10 @@ def run_over_socket(session: SyncSession, sock) -> tuple:
     Both ends send before they read; the frames are tiny, so full-duplex
     buffering makes the symmetric order deadlock-free.
     """
-    field = session.config.field
-    sock.sendall(_frame(session, session.dh_message))
-    session.receive_dh(recv_frame(sock, field))
-    sock.sendall(_frame(session, session.public_vector))
-    return session.finalize(recv_frame(sock, field))
+    sock.sendall(session.dh_message())
+    session.receive_dh(recv_frame(sock))
+    sock.sendall(session.public_vector())
+    return session.finalize(recv_frame(sock))
 
 
 # --- shared-setup file ---------------------------------------------------------

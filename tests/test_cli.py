@@ -456,6 +456,16 @@ def test_attack_recovers_plant(capsys):
     assert main(["attack", "--n", "10"]) == 1  # guardrail
 
 
+@pytest.mark.parametrize("n, p, reason", [("400", "7", "n=400 above"), ("3", "37", "p=37 above")])
+def test_attack_refuses_before_planting(monkeypatch, capsys, n, p, reason):
+    def plant(*args):
+        raise AssertionError("planted an instance the guardrail refuses")
+
+    monkeypatch.setattr("nnsig.hardness.make_instance", plant)
+    assert main(["attack", "--n", n, "--p", p]) == 1
+    assert f"{reason} solver guardrail" in capsys.readouterr().err
+
+
 def test_bench_report(capsys):
     assert main(["bench", "--p", "257", "--n", "26", "--rho", "10",
                  "--seed", "42", "--json", "--instrument"]) == 0

@@ -120,20 +120,29 @@ def test_mutated_blobs_raise_only_nnsig_errors(kind):
     check()
 
 
-def _armed_session() -> SyncSession:
+def _armed_session(state: SessionState = SessionState.SENT_DH) -> SyncSession:
+    """A session waiting for the peer's DH frame, or with ``SENT_PUBLIC`` for
+    the peer's public-vector frame."""
     config = SyncConfig(weights=decode_shared_setup(BLOBS["shared-setup"][0])[0], q=(1,) * N)
     session = SyncSession.create(config, random.Random(7))
     session.dh_message()
+    if state is SessionState.SENT_PUBLIC:
+        session.receive_dh(BLOBS["dh-frame"][0])
+        session.public_vector()
     return session
 
 
-def _assert_share_rejected(share):
+def _snapshot(session: SyncSession) -> tuple:
+    return (session.state, list(session.transcript), session.shared_matrix, session.mask,
+            session.theta)
+
+
+def _assert_share_rejected(share, reason):
     session = _armed_session()
-    transcript = list(session.transcript)
-    with pytest.raises(MalformedFrame):
-        session.receive_dh(DhMatrixMessage(share))
-    assert session.state is SessionState.SENT_DH
-    assert session.transcript == transcript
+    before = _snapshot(session)
+    with pytest.raises(MalformedFrame, match=reason):
+        session.receive_dh(wire_encode(DhMatrixMessage(share)))
+    assert _snapshot(session) == before
     assert session.shared_matrix is None and session.mask is None
 
 
@@ -146,11 +155,44 @@ def _assert_share_rejected(share):
     ids=["zero", "rank-one"],
 )
 def test_receive_dh_rejects_singular_shares(share):
-    _assert_share_rejected(share)
+    _assert_share_rejected(share, "singular")
 
 
 def test_receive_dh_rejects_identity_share():
-    _assert_share_rejected(identity(FIELD, N))
+    _assert_share_rejected(identity(FIELD, N), "the identity")
+
+
+@pytest.mark.parametrize(
+    "kind, state, receive",
+    [
+        ("dh-frame", SessionState.SENT_DH, SyncSession.receive_dh),
+        ("vector-frame", SessionState.SENT_PUBLIC, SyncSession.finalize),
+    ],
+    ids=["receive_dh", "finalize"],
+)
+def test_mutated_frames_leave_a_refusing_session_untouched(kind, state, receive):
+    """A session that refuses a frame keeps its state; one that accepts it
+    records exactly the bytes it received."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_mutations(BLOBS[kind][0]))
+    def check(data):
+        session = _armed_session(state)
+        before = _snapshot(session)
+        try:
+            receive(session, data)
+        except NnsigError:
+            assert _snapshot(session) == before
+        else:
+            assert session.state is not state
+            assert session.transcript == before[1] + [("recv", data)]
+
+    check()
 
 
 def test_shared_setup_bad_version_is_unsupported_version():
