@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 import time
 from typing import Optional
@@ -45,6 +46,8 @@ EXIT_ENCODING = 6
 # Upper bound on --timeout (a day): above any real wait, and far inside the
 # range socket.settimeout accepts, which raises OverflowError beyond it.
 MAX_TIMEOUT = 86400.0
+# Upper bound on params --p-bits: the prime search below 2^bits takes seconds above it.
+MAX_P_BITS = 1024
 
 
 def _say(args, text: str) -> None:
@@ -93,13 +96,19 @@ def _read_file(path: str) -> bytes:
         return fh.read()
 
 
-def _write_file(path: str, blob: bytes) -> None:
-    with open(path, "wb") as fh:
+def _write_file(path: str, blob: bytes, private: bool = False) -> None:
+    """Write blob to path; a private file is readable by its owner only."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if private else 0o666)
+    with open(fd, "wb") as fh:
+        if private and stat.S_ISREG(os.fstat(fd).st_mode):
+            os.fchmod(fd, 0o600)  # an existing file keeps its mode through O_CREAT
         fh.write(blob)
 
 
 def _parse_endpoint(text: str):
     host, sep, port = text.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     if not sep or not host:
         raise ParameterError(f"endpoint must look like HOST:PORT, got {text!r}")
     try:
@@ -147,7 +156,7 @@ def cmd_keygen(args) -> int:
     pk_blob = serialize_public_key(pk)
     sk_blob = serialize_secret_key(sk)
     _write_file(args.pk_out, pk_blob)
-    _write_file(args.sk_out, sk_blob)
+    _write_file(args.sk_out, sk_blob, private=True)
     fingerprint = _fingerprint(pk_blob)
     shared_path = None
     if args.export_shared:
@@ -194,9 +203,11 @@ def cmd_sync(args) -> int:
     session = SyncSession.create(config, _rng_for(_master_seed(args), b"sync"))
     if args.listen:
         host, port = _parse_endpoint(args.listen)
-        with socket.create_server((host, port), backlog=1) as server:
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        with socket.create_server((host, port), backlog=1, family=family) as server:
             server.settimeout(args.timeout)
-            _say(args, f"listening on {host}:{server.getsockname()[1]}")
+            shown = args.listen.rpartition(":")[0]  # an IPv6 host keeps its brackets
+            _say(args, f"listening on {shown}:{server.getsockname()[1]}")
             conn, _ = server.accept()
     else:
         conn = socket.create_connection(_parse_endpoint(args.connect), timeout=args.timeout)
@@ -251,6 +262,8 @@ def _resolve_params_p(args) -> int:
         return args.p
     if args.p_bits < 2:
         raise ParameterError("--p-bits must be at least 2")
+    if args.p_bits > MAX_P_BITS:
+        raise LimitExceeded(f"--p-bits {args.p_bits} is above the limit of {MAX_P_BITS}")
     candidate = (1 << args.p_bits) - 1
     while candidate >= 3 and not is_prime(candidate):
         candidate -= 2

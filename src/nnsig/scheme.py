@@ -6,11 +6,12 @@ then masks both with secret row permutations and matrix powers:
 embeds the message digest in the tail of two preimage vectors and pulls them
 back through ``Wbar_x^{-1} = w_x^{-a} @ L_x^{-1}``, inverted once per key;
 verification pushes the signature through only the rows of the public map
-that hold the digest tails and compares them.  Both sides keep the bias
-``Wbar_theta @ theta`` of the last theta they saw and ``Wbar_theta`` packed
-(``matrix.PackedMatVec``), so a new theta costs one packed product; the
-public key also keeps the rows of ``Wbar_x`` that verification reads packed.
-These memos stay out of ``==`` and ``repr``.
+that hold the digest tails and compares them.  The public key packs
+(``matrix.PackedMatVec``) ``Wbar_theta`` and the rows of ``Wbar_x`` that
+verification reads once, when it is built, and keeps the bias
+``Wbar_theta @ theta`` of the last theta either side asked it for, so a new
+theta costs one packed product; the signer reads its bias through its own
+public key.  These attributes stay out of ``==`` and ``repr``.
 
 Verification adds the bias term after applying the public map — the variant
 that subtracts it first (kept behind ``literal_form=True``) does not invert
@@ -124,23 +125,33 @@ def hash_to_field(message: bytes, n: int, field: Field) -> tuple:
 
 
 class PublicKey(FrozenValue):
-    """The public map; ``_bias`` and ``_theta_product`` are ``_theta_bias``'s memos,
-    ``_tail`` is ``_apply_tail``'s."""
+    """The public map, with ``Wbar_theta`` and rows ``min(l, n - l)..`` of
+    ``Wbar_x`` packed once; ``_bias`` is ``theta_bias``'s memo."""
 
     _fields = ("field", "n", "l", "w_x_bar", "w_theta_bar")
-    _bias = _theta_product = _tail = None
+    _bias = None
 
     def __init__(self, field: Field, n: int, l: int, w_x_bar: MatrixZp,
                  w_theta_bar: MatrixZp) -> None:
-        vars(self).update(field=field, n=n, l=l, w_x_bar=w_x_bar, w_theta_bar=w_theta_bar)
+        tail = MatrixZp(field, w_x_bar.rows[min(l, n - l):])
+        vars(self).update(field=field, n=n, l=l, w_x_bar=w_x_bar, w_theta_bar=w_theta_bar,
+                          _tail=PackedMatVec(tail), _theta_product=PackedMatVec(w_theta_bar))
 
-    def _apply_tail(self, sigma, first_row: int) -> tuple:
-        """Rows first_row.. of Wbar_x @ sigma, from rows min(l, n - l).. packed on first use."""
-        first = min(self.l, self.n - self.l)
-        if self._tail is None:
-            rows = MatrixZp(self.field, self.w_x_bar.rows[first:])
-            object.__setattr__(self, "_tail", PackedMatVec(rows))
-        return self._tail(sigma, first_row - first)
+    def theta_bias(self, theta) -> tuple:
+        """Wbar_theta @ theta, memoised for the last theta.
+
+        The memo is one ``(theta, bias)`` tuple, replaced whole, so a race
+        between threads costs a recomputation and never pairs a theta with
+        another's bias.  Keying on ``tuple(theta)`` keeps a caller's later edit
+        of a list theta from hitting a stale entry.
+        """
+        key = tuple(theta)
+        memo = self._bias
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        bias = self._theta_product(key)
+        object.__setattr__(self, "_bias", (key, bias))
+        return bias
 
 
 class Signature(NamedTuple):
@@ -155,7 +166,7 @@ class SecretKey(Value):
     """
 
     _fields = ("field", "n", "l", "l_x", "l_theta", "a", "b", "weights", "schedule")
-    _maps = _public = _sign_mat = _bias = _theta_product = None
+    _public = _sign_mat = None
 
     def __init__(self, field: Field, n: int, l: int, l_x: PermutationMatrix,
                  l_theta: PermutationMatrix, a: int, b: int,
@@ -181,9 +192,7 @@ class SecretKey(Value):
         return self.schedule.rho
 
     def unrolled_maps(self):
-        if self._maps is None:
-            self._maps = unroll(self.weights, self.schedule)
-        return self._maps
+        return unroll(self.weights, self.schedule)
 
     def public_key(self) -> PublicKey:
         if self._public is None:
@@ -206,25 +215,6 @@ class SecretKey(Value):
         if self._sign_mat is None:
             self._sign_mat = mat_inv(self.public_key().w_x_bar)
         return self._sign_mat
-
-
-def _theta_bias(owner, w_theta_bar: MatrixZp, theta) -> tuple:
-    """Wbar_theta @ theta, memoised for the last theta on owner.
-
-    The memo is one ``(theta, bias)`` tuple, replaced whole, so a race between
-    threads costs a recomputation and never pairs a theta with another's bias.
-    Keying on ``tuple(theta)`` keeps a caller's later edit of a list theta from
-    hitting a stale entry.
-    """
-    key = tuple(theta)
-    memo = owner._bias
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    if owner._theta_product is None:
-        object.__setattr__(owner, "_theta_product", PackedMatVec(w_theta_bar))
-    bias = owner._theta_product(key)
-    object.__setattr__(owner, "_bias", (key, bias))
-    return bias
 
 
 def derive_keypair(
@@ -293,7 +283,7 @@ def sign(
     r1 = field.sample_vector(rng, l)
     x0 = r0 + h0
     x1 = r1 + h1
-    bias = _theta_bias(sk, sk.public_key().w_theta_bar, theta)
+    bias = sk.public_key().theta_bias(theta)
     s_mat = sk.signing_matrix()
     sigma0 = mat_vec(s_mat, vec_sub(field, x0, bias))
     sigma1 = mat_vec(s_mat, vec_sub(field, x1, bias))
@@ -315,14 +305,14 @@ def verify(
         raise DimensionMismatch("signature vector length does not match n")
     h = hash_to_field(message, n, field)
     h0, h1 = h[:l], h[l:]
-    bias = _theta_bias(pk, pk.w_theta_bar, theta)
+    bias = pk.theta_bias(theta)
 
     def reconstruct(sigma, first_row):
         """Rows first_row.. of the public map applied to sigma, with the bias."""
         if literal_form:
             rows = MatrixZp(field, pk.w_x_bar.rows[first_row:])
             return mat_vec(rows, vec_sub(field, sigma, bias))
-        return vec_add(field, pk._apply_tail(sigma, first_row), bias[first_row:])
+        return vec_add(field, pk._tail(sigma, first_row - min(l, n - l)), bias[first_row:])
 
     if reconstruct(signature.sigma0, n - l) != h0:
         return False

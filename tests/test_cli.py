@@ -45,22 +45,24 @@ def _keygen(tmp_path, seed="00ff", n=6, extra=()):
     return main(args)
 
 
-def _free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
+def _free_port(host: str = "127.0.0.1") -> int:
+    with socket.socket(socket.AF_INET6 if ":" in host else socket.AF_INET) as probe:
+        probe.bind((host, 0))
         return probe.getsockname()[1]
 
 
-def _sync_pair(tmp_path, setup_a, setup_b, n_out=("a.theta", "b.theta"), u="2"):
+def _sync_pair(tmp_path, setup_a, setup_b, n_out=("a.theta", "b.theta"), u="2",
+               host="127.0.0.1"):
     """Run listener and client CLI syncs against each other; returns exit codes."""
-    port = _free_port()
+    port = _free_port(host)
+    endpoint = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
     listener = {}
 
     def serve():
         listener["code"] = main([
             "sync",
             "--config", str(setup_a),
-            "--listen", f"127.0.0.1:{port}",
+            "--listen", endpoint,
             "--theta-out", str(tmp_path / n_out[0]),
             "--seed", "aa",
             "--json",
@@ -74,7 +76,7 @@ def _sync_pair(tmp_path, setup_a, setup_b, n_out=("a.theta", "b.theta"), u="2"):
             client = main([
                 "sync",
                 "--config", str(setup_b),
-                "--connect", f"127.0.0.1:{port}",
+                "--connect", endpoint,
                 "--theta-out", str(tmp_path / n_out[1]),
                 "--seed", "bb",
                 "--u", u,
@@ -99,6 +101,16 @@ def test_keygen_writes_parsable_keys(tmp_path, capsys):
     sk = parse_secret_key((tmp_path / "k.sk").read_bytes())
     assert sk.public_key() == pk
     assert payload["pk_bytes"] == (tmp_path / "k.pk").stat().st_size
+
+
+def test_keygen_writes_the_secret_key_owner_only(tmp_path):
+    sk_path = tmp_path / "k.sk"
+    assert _keygen(tmp_path) == 0
+    assert sk_path.stat().st_mode & 0o077 == 0
+    # An existing, world-readable file is narrowed before the key is written.
+    sk_path.chmod(0o644)
+    assert _keygen(tmp_path) == 0
+    assert sk_path.stat().st_mode & 0o077 == 0
 
 
 def test_keygen_seed_determinism(tmp_path):
@@ -241,9 +253,26 @@ def test_sync_port_out_of_range_exits_one(tmp_path, capsys, mode, port):
 def test_parse_endpoint_port_range():
     assert _parse_endpoint("127.0.0.1:0") == ("127.0.0.1", 0)
     assert _parse_endpoint("localhost:65535") == ("localhost", 65535)
-    for text in ("127.0.0.1:-1", "127.0.0.1:65536"):
+    assert _parse_endpoint("[::1]:7700") == ("::1", 7700)
+    for text in ("127.0.0.1:-1", "127.0.0.1:65536", "[]:7700"):
         with pytest.raises(ParameterError):
             _parse_endpoint(text)
+
+
+def _ipv6_loopback() -> bool:
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _ipv6_loopback(), reason="no IPv6 loopback")
+def test_sync_over_ipv6_loopback(tmp_path):
+    assert _keygen(tmp_path, extra=("--export-shared", str(tmp_path / "s.bin"))) == 0
+    assert _sync_pair(tmp_path, tmp_path / "s.bin", tmp_path / "s.bin", host="::1") == (0, 0)
+    assert (tmp_path / "a.theta").read_bytes() == (tmp_path / "b.theta").read_bytes()
 
 
 def test_sync_connection_refused(tmp_path):
@@ -432,6 +461,16 @@ def test_params_output_and_validation(capsys):
     assert main(["params", "--n", "26", "--p", "257", "--p-bits", "8"]) == 1
     assert main(["params", "--n", "26", "--p-bits", "8", "--json"]) == 0
     assert _json_lines(capsys)[-1]["p"] == 251
+
+
+def test_params_refuses_p_bits_above_the_limit(monkeypatch, capsys):
+    def searched(candidate):
+        raise AssertionError(f"searched from {candidate}")
+
+    monkeypatch.setattr("nnsig.cli.is_prime", searched)
+    assert main(["params", "--n", "26", "--p-bits", "1025", "--json"]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "parameter" and "limit of 1024" in error["message"]
 
 
 def test_params_human_output(capsys):

@@ -90,10 +90,10 @@ CASES = {
                        memos=("base_powers",), touch=lambda c: c.base_powers,
                        bad=(lambda: SyncConfig(WEIGHTS, (1, 2, 3, 4), u=0), ParameterError)),
     "PublicKey": Case(lambda: parse_public_key(PK_BLOB), lambda: OTHER_PK,
-                      memos=("_bias", "_theta_product", "_tail"),
+                      memos=("_bias", "_tail", "_theta_product"),
                       touch=lambda pk: verify(pk, THETA, b"m", Signature((0,) * 4, (0,) * 4))),
     "SecretKey": Case(lambda: parse_secret_key(SK_BLOB), lambda: OTHER_SK,
-                      memos=("_maps", "_public", "_sign_mat", "_bias", "_theta_product"),
+                      memos=("_public", "_sign_mat"),
                       touch=lambda sk: sign(sk, THETA, b"m", random.Random(1)), mutable=True),
     "SyncSession": Case(lambda: SyncSession(SYNC, 3, (1, 2)), lambda: SyncSession(SYNC, 3, (1, 3)),
                         memos=("_dh_share",),

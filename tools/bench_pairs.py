@@ -53,8 +53,9 @@ PAIRS = 10
 # rest, and kept among the samples it widened the quartiles.  Within a repeat,
 # one untimed sign and verify fill the keys' memos, then sign and verify are
 # timed per message over MESSAGES messages under one theta, and theta_switch
-# is the bias of a fresh theta (scheme._theta_bias on the public key), per
-# theta over MESSAGES thetas.  Calibration is the median time of perfbench's
+# is the bias of a fresh theta (PublicKey.theta_bias, or scheme._theta_bias on
+# the public key in a checkout older than that method), per theta over MESSAGES
+# thetas.  Calibration is the median time of perfbench's
 # calibration kernel, run CAL_RUNS times before and after a repeat's stages.
 LAYER_CHILD = r"""
 import json, os, random, statistics, sys, time
@@ -64,7 +65,14 @@ sys.path.insert(0, sys.argv[1])
 sys.path.insert(0, os.path.join(os.path.dirname(sys.argv[1]), "perfbench"))
 import nnsig
 from nnsig.network import build_network, unroll
-from nnsig.scheme import _theta_bias
+# Either way the timed call is a wrapper around one library call.
+if hasattr(nnsig.PublicKey, "theta_bias"):
+    def theta_bias(pk, theta):
+        return pk.theta_bias(theta)
+else:
+    from nnsig.scheme import _theta_bias
+    def theta_bias(pk, theta):
+        return _theta_bias(pk, pk.w_theta_bar, theta)
 from harness import calibration_kernel
 sets, rho, repeats = json.loads(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 MESSAGES, CAL_RUNS = 16, 3
@@ -107,8 +115,8 @@ for p, n in sets:
         sign_s = per_call(nnsig.sign, [(sk, theta, m, rng) for m in messages])
         signed = [(pk, theta, m, nnsig.sign(sk, theta, m, rng)) for m in messages]
         verify_s = per_call(nnsig.verify, signed)
-        fresh = [(pk, pk.w_theta_bar, field.sample_vector(rng, n)) for _ in range(MESSAGES)]
-        switch_s = per_call(_theta_bias, fresh)
+        fresh = [(pk, field.sample_vector(rng, n)) for _ in range(MESSAGES)]
+        switch_s = per_call(theta_bias, fresh)
         cal += calibrate()
         if k:
             for stage, seconds in zip(stages, (t1 - t0, t2 - t1, t3 - t2, t5 - t4,
