@@ -214,7 +214,7 @@ def cmd_sync(args) -> int:
     with conn:
         theta = run_over_socket(session, _Deadline(conn, args.timeout))
     blob = encode_theta(config.field, theta)
-    _write_file(args.theta_out, blob)
+    _write_file(args.theta_out, blob, private=True)
     digest = _fingerprint(blob)
     _say(args, f"synchronized theta -> {args.theta_out}")
     _say(args, f"theta fingerprint {digest}")

@@ -11,7 +11,8 @@ multiply-add updates a whole row.  :class:`PackedMatVec` packs a matrix's
 columns the same way, so ``A·v`` is one multiply-add per column.  A slot is
 sized by :func:`_slot_width` to hold ``terms * (p - 1)**2 + p``, rounded up
 to 1, 2, 4 or 8 bytes where that suffices so that ``struct`` packs and
-unpacks it.  A product sums ``n_cols`` products per slot; elimination adds
+unpacks it.  A product sums ``n_cols`` products per slot (a
+``PackedMatVec`` may add one packed entry more); elimination adds
 ``(p - f) * pivot_row`` (never a negative slot) and reduces a row only when
 it becomes the pivot, so a slot takes at most ``n - 1`` additions of at most
 ``(p - 1)**2`` between reductions.  Both stay inside the slot, so no carry
@@ -437,7 +438,9 @@ class PackedMatVec:
     """``A·v`` for one fixed matrix A and many vectors v: A is range-checked
     and its columns packed once, here, so a product is one multiply-add per
     column.  v is reduced first, so any int vector gives what ``mat_vec``
-    gives, and each call tallies what ``mat_vec`` tallies."""
+    gives, and each call tallies what ``mat_vec`` tallies.  An addend packed
+    by :meth:`pack` joins the sum before its one reduction: the slot bound
+    leaves room for one entry in ``[0, p)``."""
 
     def __init__(self, a: MatrixZp) -> None:
         _check_entries(a)
@@ -445,14 +448,29 @@ class PackedMatVec:
         self._width = _slot_width(a.field.p, a.n_cols)
         self._cols = tuple([_pack(col, self._width) for col in zip(*a.rows)])
 
-    def __call__(self, v, first: int = 0) -> tuple:
-        """Rows ``first..`` of ``A·v``, as ``mat_vec`` gives them for those rows of A."""
+    def pack(self, u) -> int:
+        """A vector of ``n_rows`` entries in ``[0, p)`` as an addend of :meth:`__call__`."""
+        a = self.matrix
+        if len(u) != a.n_rows:
+            raise DimensionMismatch(f"addend of length {len(u)} for {a.n_rows} rows")
+        if min(u) < 0 or max(u) >= a.field.p:  # would borrow or carry across slots
+            raise ParameterError(f"addend entries must lie in [0, {a.field.p})")
+        return _pack(u, self._width)
+
+    def __call__(self, v, first: int = 0, addend: Optional[int] = None) -> tuple:
+        """Rows ``first..`` of ``A·v``, as ``mat_vec`` gives them for those rows
+        of A; with ``addend``, rows ``first..`` of ``A·v + u`` for the ``u`` it packs,
+        as ``vec_add`` gives them and tallies."""
         a = self.matrix
         if a.n_cols != len(v):
             raise DimensionMismatch(f"{a.n_rows}x{a.n_cols} matrix times length-{len(v)} vector")
         p, count = a.field.p, a.n_rows - first
         total = sum(map(operator.mul, [x % p for x in v], self._cols))
-        tally(muls=count * a.n_cols, adds=count * (a.n_cols - 1))
+        adds = count * (a.n_cols - 1)
+        if addend is not None:
+            total += addend
+            adds += count
+        tally(muls=count * a.n_cols, adds=adds)
         return _unpack(total >> 8 * self._width * first, count, self._width, p)
 
 

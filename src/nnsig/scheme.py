@@ -11,7 +11,10 @@ that hold the digest tails and compares them.  The public key packs
 verification reads once, when it is built, and keeps the bias
 ``Wbar_theta @ theta`` of the last theta either side asked it for, so a new
 theta costs one packed product; the signer reads its bias through its own
-public key.  These attributes stay out of ``==`` and ``repr``.
+public key.  The same memo entry holds the bias's tail rows packed in the
+slots of the ``Wbar_x`` tail product, so each verification half is one
+packed pass: the products and the bias are summed in one big int, unpacked
+and reduced once.  These attributes stay out of ``==`` and ``repr``.
 
 Verification adds the bias term after applying the public map — the variant
 that subtracts it first (kept behind ``literal_form=True``) does not invert
@@ -65,7 +68,6 @@ from .matrix import (
     read_matrix,
     read_vector,
     split_rows,
-    vec_add,
     vec_sub,
 )
 from .network import AttentionSchedule, NetworkConfig, SynapticWeights, build_network, unroll
@@ -126,7 +128,7 @@ def hash_to_field(message: bytes, n: int, field: Field) -> tuple:
 
 class PublicKey(FrozenValue):
     """The public map, with ``Wbar_theta`` and rows ``min(l, n - l)..`` of
-    ``Wbar_x`` packed once; ``_bias`` is ``theta_bias``'s memo."""
+    ``Wbar_x`` packed once; ``_bias`` is the memo of ``_bias_entry``."""
 
     _fields = ("field", "n", "l", "w_x_bar", "w_theta_bar")
     _bias = None
@@ -138,20 +140,26 @@ class PublicKey(FrozenValue):
                           _tail=PackedMatVec(tail), _theta_product=PackedMatVec(w_theta_bar))
 
     def theta_bias(self, theta) -> tuple:
-        """Wbar_theta @ theta, memoised for the last theta.
+        """Wbar_theta @ theta, memoised for the last theta."""
+        return self._bias_entry(theta)[1]
 
-        The memo is one ``(theta, bias)`` tuple, replaced whole, so a race
-        between threads costs a recomputation and never pairs a theta with
-        another's bias.  Keying on ``tuple(theta)`` keeps a caller's later edit
-        of a list theta from hitting a stale entry.
+    def _bias_entry(self, theta) -> tuple:
+        """``(theta, bias, packed)`` for the last theta: ``packed`` holds the
+        bias rows of ``_tail`` in its slots, the addend of ``verify``'s products.
+
+        The memo is that one tuple, replaced whole, so a race between threads
+        costs a recomputation and never pairs a theta with another's bias.
+        Keying on ``tuple(theta)`` keeps a caller's later edit of a list theta
+        from hitting a stale entry.
         """
         key = tuple(theta)
         memo = self._bias
         if memo is not None and memo[0] == key:
-            return memo[1]
+            return memo
         bias = self._theta_product(key)
-        object.__setattr__(self, "_bias", (key, bias))
-        return bias
+        memo = (key, bias, self._tail.pack(bias[min(self.l, self.n - self.l):]))
+        object.__setattr__(self, "_bias", memo)
+        return memo
 
 
 class Signature(NamedTuple):
@@ -297,26 +305,29 @@ def verify(
     signature: Signature,
     literal_form: bool = False,
 ) -> bool:
-    """Check a signature; True/False for well-formed inputs, raises on bad shapes."""
+    """Check a signature; True/False for well-formed inputs, raises on bad shapes.
+
+    Each half is one call of the packed tail product, with the packed bias
+    added before its one reduction, and one tuple compare; a mismatch in the
+    h0 half returns before the h1 half is computed.
+    """
     n, l, field = pk.n, pk.l, pk.field
     if len(theta) != n:
         raise DimensionMismatch(f"theta has length {len(theta)}, expected {n}")
     if len(signature.sigma0) != n or len(signature.sigma1) != n:
         raise DimensionMismatch("signature vector length does not match n")
     h = hash_to_field(message, n, field)
-    h0, h1 = h[:l], h[l:]
-    bias = pk.theta_bias(theta)
-
-    def reconstruct(sigma, first_row):
-        """Rows first_row.. of the public map applied to sigma, with the bias."""
-        if literal_form:
-            rows = MatrixZp(field, pk.w_x_bar.rows[first_row:])
-            return mat_vec(rows, vec_sub(field, sigma, bias))
-        return vec_add(field, pk._tail(sigma, first_row - min(l, n - l)), bias[first_row:])
-
-    if reconstruct(signature.sigma0, n - l) != h0:
+    if literal_form:
+        bias = pk.theta_bias(theta)
+        return all(
+            mat_vec(MatrixZp(field, pk.w_x_bar.rows[n - len(half):]), vec_sub(field, sigma, bias))
+            == half
+            for sigma, half in ((signature.sigma0, h[:l]), (signature.sigma1, h[l:]))
+        )
+    packed, first = pk._bias_entry(theta)[2], min(l, n - l)
+    if pk._tail(signature.sigma0, n - l - first, packed) != h[:l]:
         return False
-    return reconstruct(signature.sigma1, l) == h1
+    return pk._tail(signature.sigma1, l - first, packed) == h[l:]
 
 
 # --- serialization ----------------------------------------------------------

@@ -30,6 +30,7 @@ def test_layer_child_times_the_four_set_up_stages():
     result = json.loads(proc.stdout)["p=257,n=8"]
     stages = result["stages"]
     assert list(stages) == ["unroll", "keygen", "signer_setup", "sync_pair",
-                            "sign", "verify", "theta_switch"]
+                            "sign", "verify", "theta_switch", "verify_reject",
+                            "hash_to_field"]
     for times in (*stages.values(), result["calibration"]):
         assert len(times) == 2 and all(t > 0 for t in times)

@@ -275,6 +275,21 @@ def test_sync_over_ipv6_loopback(tmp_path):
     assert (tmp_path / "a.theta").read_bytes() == (tmp_path / "b.theta").read_bytes()
 
 
+def test_sync_writes_theta_owner_only(tmp_path):
+    """Theta is the shared secret: both ends write it owner-only, under a
+    permissive umask and over an existing world-readable file alike."""
+    assert _keygen(tmp_path, extra=("--export-shared", str(tmp_path / "s.bin"))) == 0
+    (tmp_path / "a.theta").write_bytes(b"")
+    (tmp_path / "a.theta").chmod(0o644)
+    umask = os.umask(0o022)
+    try:
+        assert _sync_pair(tmp_path, tmp_path / "s.bin", tmp_path / "s.bin") == (0, 0)
+    finally:
+        os.umask(umask)
+    for name in ("a.theta", "b.theta"):
+        assert (tmp_path / name).stat().st_mode & 0o077 == 0, name
+
+
 def test_sync_connection_refused(tmp_path):
     assert _keygen(tmp_path, extra=("--export-shared", str(tmp_path / "s.bin"))) == 0
     port = _free_port()  # nothing is listening there

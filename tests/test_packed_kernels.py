@@ -17,7 +17,12 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from nnsig.errors import ParameterError, SingularMatrixError, SingularWeightsError
+from nnsig.errors import (
+    DimensionMismatch,
+    ParameterError,
+    SingularMatrixError,
+    SingularWeightsError,
+)
 from nnsig.field import Field, count_ops, tally
 from nnsig.matrix import (
     MatrixZp,
@@ -32,6 +37,7 @@ from nnsig.matrix import (
     mat_vec,
     random_matrix,
     scaled_chain,
+    vec_add,
 )
 from nnsig.network import AttentionSchedule, SynapticWeights, UnrolledMaps, unroll
 
@@ -325,15 +331,20 @@ def _mat_vec_operands(draw):
     field = Field(draw(st.sampled_from([7, 257, 65537, 2**61 - 1])))
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     v = draw(st.lists(st.integers(0, field.p - 1) | st.integers(), min_size=cols, max_size=cols))
-    return _matrix(field, rows, cols, draw), tuple(v), draw(st.integers(0, rows - 1))
+    u = draw(st.lists(st.integers(0, field.p - 1), min_size=rows, max_size=rows))
+    return _matrix(field, rows, cols, draw), tuple(v), draw(st.integers(0, rows - 1)), tuple(u)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_mat_vec_operands())
 def test_packed_mat_vec_matches_mat_vec(operands):
-    a, v, first = operands
+    """Alone, and with a packed addend u as ``vec_add`` adds it afterwards."""
+    a, v, first, u = operands
     product = PackedMatVec(a)
-    _same(lambda: product(v, first), lambda: mat_vec(MatrixZp(a.field, a.rows[first:]), v))
+    rows = MatrixZp(a.field, a.rows[first:])
+    _same(lambda: product(v, first), lambda: mat_vec(rows, v))
+    _same(lambda: product(v, first, product.pack(u)),
+          lambda: vec_add(a.field, mat_vec(rows, v), u[first:]))
 
 
 @pytest.mark.parametrize("p", [7, 257, 65537, 2**61 - 1])
@@ -345,6 +356,24 @@ def test_packed_mat_vec_reduces_entries_outside_the_field(p):
     v = tuple(rng.choice((-1, -p, p, 2 * p + 3, -(10**30), 10**30 + 7)) for _ in range(43))
     assert product(v) == mat_vec(a, v)
     assert product(v, 21) == mat_vec(a, v)[21:]
+
+
+@pytest.mark.parametrize("p", [7, 257, 65537, 2**61 - 1])
+def test_packed_addend_fills_the_slot_bound(p):
+    """Every entry p - 1, the largest slot sum, plus an addend of p - 1s: no
+    carry crosses a slot.  ``pack`` refuses what would break the bound."""
+    field = Field(p)
+    top = (p - 1,) * 43
+    a = MatrixZp(field, (top,) * 43)
+    product = PackedMatVec(a)
+    for first in (0, 21):
+        _same(lambda: product(top, first, product.pack(top)),
+              lambda: vec_add(field, mat_vec(MatrixZp(field, a.rows[first:]), top), top[first:]))
+    with pytest.raises(DimensionMismatch):
+        product.pack(top[1:])
+    for bad in (p, -1):
+        with pytest.raises(ParameterError):
+            product.pack((bad,) + top[1:])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

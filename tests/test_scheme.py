@@ -465,30 +465,43 @@ def _verify_oracle(pk, theta, message, sig):
     return tail(sig.sigma0, n - l) == h[:l] and tail(sig.sigma1, l) == h[l:]
 
 
-@pytest.mark.parametrize("l", [1, 6, 12])
-def test_verify_matches_the_mat_vec_reconstruction(l):
+def _shift(v, by):
+    return tuple(x + by for x in v)
+
+
+@pytest.mark.parametrize("p,l", [
+    *(pytest.param(257, l, id=str(l)) for l in (1, 6, 12)),
+    pytest.param(2**61 - 1, 6, id="p=2^61-1"),
+])
+def test_verify_matches_the_mat_vec_reconstruction(p, l):
     """Same verdicts and same field-op tallies at an odd n, where the packed
-    tail rows are one row more than one half reads."""
-    signer_pk, sk = _keypair(n=13, l=l)
+    tail rows are one row more than one half reads; for signatures shifted by
+    p and by -p, whose entries lie outside [0, p) and must be reduced before
+    they meet the packed bias; and at p = 2^61 - 1, whose 16-byte slots take
+    the per-entry codec path."""
+    signer_pk, sk = _keypair(p=p, n=13, l=l)
     pk = parse_public_key(serialize_public_key(signer_pk))  # warmed by verify alone
     field = pk.field
-    thetas = [_theta(field, 13, seed) for seed in (1, 2)]
+    thetas = [_theta(field, 13, seed) for seed in (1, 2, 3)]
     rng = random.Random(l)
-    verdicts = []
+    seen = set()
     for k in range(16):
-        theta = thetas[k % 2]  # a new theta every call, so each call pays its bias
         message = b"oracle %d" % k
-        sig = sign(sk, thetas[k // 2 % 2], message, rng)
+        sig = sign(sk, thetas[k % 3], message, rng)
         if k % 4 == 3:
             sig = Signature(field.sample_vector(rng, 13), sig.sigma1)
         checked = message if k % 8 < 4 else message + b"!"
-        with count_ops() as got:
-            verdict = verify(pk, theta, checked, sig)
-        with count_ops() as want:
-            assert verdict == _verify_oracle(pk, theta, checked, sig)
-        assert got == want
-        verdicts.append(verdict)
-    assert True in verdicts and False in verdicts
+        candidates = (sig, Signature(_shift(sig.sigma0, p), _shift(sig.sigma1, -p)),
+                      Signature(_shift(sig.sigma0, -p), _shift(sig.sigma1, p)))
+        for j, candidate in enumerate(candidates):
+            theta = thetas[j]  # a new theta every call, so each call pays its bias
+            with count_ops() as got:
+                verdict = verify(pk, theta, checked, candidate)
+            with count_ops() as want:
+                assert verdict == _verify_oracle(pk, theta, checked, candidate)
+            assert got == want
+            seen.add((j, verdict))
+    assert seen == {(j, verdict) for j in range(3) for verdict in (True, False)}
 
 
 def test_rotating_thetas_packs_each_key_once(monkeypatch):

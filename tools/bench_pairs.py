@@ -12,10 +12,11 @@ run as long as ``BENCHMARK.json``'s ``run_seconds``, and writes
 each side's runs with their median and quartiles, the change in the median,
 the number of pairs the change won, and whether the median moved in the
 better direction by more than the parent's interquartile range.  It adds a
-table of stages (unroll, keygen, signer setup, sync pair, sign, verify and
-the bias of a fresh theta) at the ROADMAP's four parameter sets, timed in a
-child interpreter per checkout, again alternating, in milliseconds and in
-runs of perfbench's calibration kernel.  Standard library only.
+table of stages (unroll, keygen, signer setup, sync pair, sign, verify, the
+bias of a fresh theta, a rejected verify and hash_to_field) at the ROADMAP's
+four parameter sets, timed in a child interpreter per checkout, again
+alternating, in milliseconds and in runs of perfbench's calibration kernel.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -55,7 +56,11 @@ PAIRS = 10
 # timed per message over MESSAGES messages under one theta, and theta_switch
 # is the bias of a fresh theta (PublicKey.theta_bias, or scheme._theta_bias on
 # the public key in a checkout older than that method), per theta over MESSAGES
-# thetas.  Calibration is the median time of perfbench's
+# thetas.  verify_reject, timed before theta_switch moves the memo, verifies
+# the same signatures on their messages with one byte flipped: the early exit
+# after h0 that every fourth sign-verify message of perfbench takes.
+# hash_to_field digests the 1 KiB messages.  Both call functions every
+# checkout has.  Calibration is the median time of perfbench's
 # calibration kernel, run CAL_RUNS times before and after a repeat's stages.
 LAYER_CHILD = r"""
 import json, os, random, statistics, sys, time
@@ -65,6 +70,7 @@ sys.path.insert(0, sys.argv[1])
 sys.path.insert(0, os.path.join(os.path.dirname(sys.argv[1]), "perfbench"))
 import nnsig
 from nnsig.network import build_network, unroll
+from nnsig.scheme import hash_to_field
 # Either way the timed call is a wrapper around one library call.
 if hasattr(nnsig.PublicKey, "theta_bias"):
     def theta_bias(pk, theta):
@@ -93,7 +99,8 @@ def per_call(fn, args):
 out = {}
 for p, n in sets:
     field = nnsig.Field(p)
-    stages = ("unroll", "keygen", "signer_setup", "sync_pair", "sign", "verify", "theta_switch")
+    stages = ("unroll", "keygen", "signer_setup", "sync_pair", "sign", "verify", "theta_switch",
+              "verify_reject", "hash_to_field")
     times = {stage: [] for stage in stages}
     calibration = []
     for k in range(repeats + 1):
@@ -115,12 +122,15 @@ for p, n in sets:
         sign_s = per_call(nnsig.sign, [(sk, theta, m, rng) for m in messages])
         signed = [(pk, theta, m, nnsig.sign(sk, theta, m, rng)) for m in messages]
         verify_s = per_call(nnsig.verify, signed)
+        reject_s = per_call(nnsig.verify, [(pk, theta, bytes([m[0] ^ 1]) + m[1:], sig)
+                                           for pk, theta, m, sig in signed])
         fresh = [(pk, field.sample_vector(rng, n)) for _ in range(MESSAGES)]
         switch_s = per_call(theta_bias, fresh)
+        digest_s = per_call(hash_to_field, [(m, n, field) for m in messages])
         cal += calibrate()
         if k:
             for stage, seconds in zip(stages, (t1 - t0, t2 - t1, t3 - t2, t5 - t4,
-                                               sign_s, verify_s, switch_s)):
+                                               sign_s, verify_s, switch_s, reject_s, digest_s)):
                 times[stage].append(seconds)
             calibration.append(statistics.median(cal))
     out[f"p={p},n={n}"] = {"stages": times, "calibration": calibration}
@@ -316,7 +326,9 @@ def layer_table(dirs: dict) -> dict:
                 "pair: two SyncSession.create and run_pair, so the squares of W are paid in "
                 "it). sign and verify: per message, 16 messages of 1 KiB under one theta, "
                 "after one untimed sign and verify; theta_switch: the bias of a fresh theta "
-                "on the public key, per theta over 16 thetas",
+                "on the public key, per theta over 16 thetas; verify_reject: verify of the same "
+                "signatures on their messages with one byte flipped (rejected after h0); "
+                "hash_to_field: the digest of each 1 KiB message",
         "units": {"ms": "milliseconds",
                   "cal": "runs of perfbench's calibration kernel (harness.calibration_kernel), "
                          "the median of 6 runs around the same repeat"},
