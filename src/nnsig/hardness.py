@@ -9,7 +9,8 @@ one signature and the public key forge any message without theta
 (``tests/test_scheme.py::test_forgery_from_one_signature_without_theta``),
 and det(B) = +-det(A)^a reduces the instance to a discrete log in Z_p^*
 (Menezes & Wu, "The discrete logarithm problem in GL(n, q)", 1997).  The
-solvers here are reference oracles and are guardrailed to toy sizes.
+one solver here, ``brute_force_solve``, runs that exhaustive search as a
+reference oracle and is guardrailed to toy sizes.
 
 Estimates work on raw integers in the log domain, so they are not bound by
 the 61-bit element-arithmetic cap.  ``matrix`` is imported by the functions
@@ -22,7 +23,7 @@ import math
 from itertools import permutations
 from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
-from .errors import DimensionMismatch, LimitExceeded, ParameterError
+from .errors import LimitExceeded, ParameterError
 
 if TYPE_CHECKING:
     from .field import Field
@@ -84,71 +85,32 @@ def _check_limits(n: int, p: int, n_limit: int, p_limit: int) -> None:
         raise LimitExceeded(f"p={p} above solver guardrail {p_limit}")
 
 
-def _search(
-    instance: MatrixPowerInstance, exponents, perms, n_limit: int, p_limit: int
-) -> List[Tuple[int, tuple]]:
-    """Every (exponent, perm) whose rows of A^exponent, picked in perm order, give B.
-
-    exponents must be consecutive: the first power is one mat_pow, each later
-    one a single mat_mul.  Hits come in the order of exponents, then of perms.
-    perms is only materialized once the guardrails have passed.
-    """
-    from .matrix import mat_mul, mat_pow
-
-    _check_limits(instance.n, instance.field.p, n_limit, p_limit)
-    perms = tuple(perms)
-    a_mat, target = instance.a_mat, instance.b_mat.rows
-    hits = []
-    power = None
-    for exponent in exponents:
-        power = mat_pow(a_mat, exponent) if power is None else mat_mul(power, a_mat)
-        rows = power.rows
-        hits.extend((exponent, perm) for perm in perms if tuple(rows[t] for t in perm) == target)
-    return hits
-
-
 def brute_force_solve(
     instance: MatrixPowerInstance,
     n_limit: int = SOLVER_N_LIMIT,
     p_limit: int = SOLVER_P_LIMIT,
 ) -> List[MatrixPowerSolution]:
-    """Enumerate every (a, L) in [1, p-1] x S_n; returns all hits, order-normalized."""
-    from .matrix import PermutationMatrix
+    """Every (a, L) in [1, p-1] x S_n whose rows of A^a, picked in L's order, give B.
 
-    perms = permutations(range(instance.n))
-    return [
-        MatrixPowerSolution(exponent=exponent, perm=PermutationMatrix(perm))
-        for exponent, perm in _search(instance, range(1, instance.field.p), perms, n_limit, p_limit)
-    ]
+    A^1 is one mat_pow and each later power a single mat_mul.  Hits come in
+    the order of exponents, then of permutations.  Refuses instances past the
+    guardrails before it builds anything.
+    """
+    from .matrix import PermutationMatrix, mat_mul, mat_pow
 
-
-def solve_with_exponent(
-    instance: MatrixPowerInstance,
-    exponent: int,
-    n_limit: int = SOLVER_N_LIMIT,
-    p_limit: int = SOLVER_P_LIMIT,
-) -> List[PermutationMatrix]:
-    """Residual search with a fixed: enumerate the n! row permutations."""
-    from .matrix import PermutationMatrix
-
-    perms = permutations(range(instance.n))
-    return [
-        PermutationMatrix(perm)
-        for _, perm in _search(instance, (exponent,), perms, n_limit, p_limit)
-    ]
-
-
-def solve_with_perm(
-    instance: MatrixPowerInstance,
-    perm: PermutationMatrix,
-    n_limit: int = SOLVER_N_LIMIT,
-    p_limit: int = SOLVER_P_LIMIT,
-) -> List[int]:
-    """Residual search with L fixed: scan exponents against B."""
-    if perm.n != instance.n:
-        raise DimensionMismatch("permutation size does not match n")
-    hits = _search(instance, range(1, instance.field.p), (perm.perm,), n_limit, p_limit)
-    return [exponent for exponent, _ in hits]
+    _check_limits(instance.n, instance.field.p, n_limit, p_limit)
+    perms = tuple(permutations(range(instance.n)))
+    a_mat, target = instance.a_mat, instance.b_mat.rows
+    hits = []
+    power = None
+    for exponent in range(1, instance.field.p):
+        power = mat_pow(a_mat, exponent) if power is None else mat_mul(power, a_mat)
+        rows = power.rows
+        hits.extend(
+            MatrixPowerSolution(exponent=exponent, perm=PermutationMatrix(perm))
+            for perm in perms if tuple(rows[t] for t in perm) == target
+        )
+    return hits
 
 
 # --- parameter estimates ------------------------------------------------------

@@ -558,12 +558,6 @@ class PermutationMatrix(FrozenValue):
             raise DimensionMismatch("permutation size does not match row count")
         return MatrixZp(a.field, tuple(a.rows[t] for t in self.perm))
 
-    def compose(self, other: "PermutationMatrix") -> "PermutationMatrix":
-        """self ∘ other, matching to_matrix(self) @ to_matrix(other)."""
-        if self.n != other.n:
-            raise DimensionMismatch("permutation sizes differ")
-        return PermutationMatrix(tuple(other.perm[t] for t in self.perm))
-
 
 # --- fixed-width little-endian codecs ---------------------------------------
 

@@ -309,7 +309,9 @@ def verify(
 
     Each half is one call of the packed tail product, with the packed bias
     added before its one reduction, and one tuple compare; a mismatch in the
-    h0 half returns before the h1 half is computed.
+    h0 half returns before the h1 half is computed.  ``literal_form``
+    subtracts the bias from sigma instead and runs the same product with no
+    addend, with the same early exit.
     """
     n, l, field = pk.n, pk.l, pk.field
     if len(theta) != n:
@@ -317,14 +319,14 @@ def verify(
     if len(signature.sigma0) != n or len(signature.sigma1) != n:
         raise DimensionMismatch("signature vector length does not match n")
     h = hash_to_field(message, n, field)
+    first = min(l, n - l)
     if literal_form:
         bias = pk.theta_bias(theta)
         return all(
-            mat_vec(MatrixZp(field, pk.w_x_bar.rows[n - len(half):]), vec_sub(field, sigma, bias))
-            == half
+            pk._tail(vec_sub(field, sigma, bias), n - len(half) - first) == half
             for sigma, half in ((signature.sigma0, h[:l]), (signature.sigma1, h[l:]))
         )
-    packed, first = pk._bias_entry(theta)[2], min(l, n - l)
+    packed = pk._bias_entry(theta)[2]
     if pk._tail(signature.sigma0, n - l - first, packed) != h[:l]:
         return False
     return pk._tail(signature.sigma1, l - first, packed) == h[l:]

@@ -176,15 +176,19 @@ def test_tail_row_verify_matches_full_reconstruction(p, n):
 def test_verify_tally_is_four_n_squared_on_a_miss_and_two_on_a_hit():
     n = 26
     signer_pk, sk = _keypair(257, n)
-    pk = parse_public_key(serialize_public_key(signer_pk))  # the verifier's own copy
-    theta = pk.field.sample_vector(random.Random(6), n)
+    theta = signer_pk.field.sample_vector(random.Random(6), n)
     sig = sign(sk, theta, b"m", random.Random(7))
-    totals = []
-    for _ in range(2):
-        with count_ops() as c:
-            assert verify(pk, theta, b"m", sig)
-        totals.append(c.total)
-    assert totals == [4 * n * n - n, 2 * n * n]
+    # The literal form rejects an honest signature after the h0 half: n subs
+    # and l rows of the tail product.  A memo miss adds the 2n^2 - n of the bias.
+    literal_hit = n + signer_pk.l * (2 * n - 1)
+    for literal_form, verdict, hit in ((False, True, 2 * n * n), (True, False, literal_hit)):
+        pk = parse_public_key(serialize_public_key(signer_pk))  # the verifier's own copy
+        totals = []
+        for _ in range(2):
+            with count_ops() as c:
+                assert verify(pk, theta, b"m", sig, literal_form=literal_form) is verdict
+            totals.append(c.total)
+        assert totals == [hit + 2 * n * n - n, hit]
 
 
 # --- (c) squaring table ------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -20,8 +21,6 @@ from nnsig.hardness import (
     keyspace_bits,
     make_instance,
     quantum_security_ok,
-    solve_with_exponent,
-    solve_with_perm,
     verify_solution,
 )
 from nnsig.matrix import PermutationMatrix, from_rows
@@ -82,24 +81,23 @@ def test_plant_and_recover_loop(f7):
             assert verify_solution(instance, h)
 
 
-def test_constrained_solvers_agree_with_full_search(f7):
+def test_brute_force_returns_every_accepted_solution(f7):
     rng = random.Random(12)
-    for _ in range(20):
-        instance, _ = make_instance(3, f7, rng)
-        full = {(h.exponent, h.perm.perm) for h in brute_force_solve(instance)}
-        by_exp = set()
-        for exponent in range(1, 7):
-            for q in solve_with_exponent(instance, exponent):
-                by_exp.add((exponent, q.perm))
-        assert by_exp == full
-        by_perm = set()
-        from itertools import permutations
-
-        for perm in permutations(range(3)):
-            q = PermutationMatrix(perm)
-            for exponent in solve_with_perm(instance, q):
-                by_perm.add((exponent, perm))
-        assert by_perm == full
+    candidates = [
+        MatrixPowerSolution(exponent=exponent, perm=PermutationMatrix(perm))
+        for exponent in range(1, 7)
+        for perm in permutations(range(3))
+    ]
+    # Random instances here have one solution each.  Every power of a 3-cycle
+    # is a permutation matrix, so against it each exponent has exactly one L.
+    shift = PermutationMatrix((1, 2, 0)).to_matrix(f7)
+    instances = [MatrixPowerInstance(a_mat=shift, b_mat=shift)]
+    instances += [make_instance(3, f7, rng)[0] for _ in range(20)]
+    for instance in instances:
+        # Every accepted candidate, in the order of exponents, then of permutations.
+        accepted = [c for c in candidates if verify_solution(instance, c)]
+        assert brute_force_solve(instance) == accepted
+    assert [h.exponent for h in brute_force_solve(instances[0])] == [1, 2, 3, 4, 5, 6]
 
 
 def test_solver_guardrails(f7):
@@ -111,10 +109,6 @@ def test_solver_guardrails(f7):
     instance2, _ = make_instance(2, big, rng)
     with pytest.raises(LimitExceeded):
         brute_force_solve(instance2)
-    with pytest.raises(LimitExceeded):
-        solve_with_exponent(instance, 1)
-    with pytest.raises(LimitExceeded):
-        solve_with_perm(instance2, PermutationMatrix((0, 1)))
     # Explicit limits override the defaults.
     assert isinstance(brute_force_solve(instance2, p_limit=37), list)
 

@@ -209,14 +209,6 @@ def test_permutation_apply_matches_matrix(f7):
         assert perm.inverse().apply(perm.apply(v)) == v
 
 
-def test_permutation_compose(f7):
-    rng = random.Random(11)
-    for _ in range(20):
-        p1 = PermutationMatrix.random(4, rng)
-        p2 = PermutationMatrix.random(4, rng)
-        assert p1.compose(p2).to_matrix(f7) == mat_mul(p1.to_matrix(f7), p2.to_matrix(f7))
-
-
 def test_matrix_codec_roundtrip(f257):
     rng = random.Random(12)
     for _ in range(20):

@@ -54,8 +54,7 @@ PAIRS = 10
 # rest, and kept among the samples it widened the quartiles.  Within a repeat,
 # one untimed sign and verify fill the keys' memos, then sign and verify are
 # timed per message over MESSAGES messages under one theta, and theta_switch
-# is the bias of a fresh theta (PublicKey.theta_bias, or scheme._theta_bias on
-# the public key in a checkout older than that method), per theta over MESSAGES
+# is the bias of a fresh theta (PublicKey.theta_bias), per theta over MESSAGES
 # thetas.  verify_reject, timed before theta_switch moves the memo, verifies
 # the same signatures on their messages with one byte flipped: the early exit
 # after h0 that every fourth sign-verify message of perfbench takes.
@@ -71,14 +70,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(sys.argv[1]), "perfbench"))
 import nnsig
 from nnsig.network import build_network, unroll
 from nnsig.scheme import hash_to_field
-# Either way the timed call is a wrapper around one library call.
-if hasattr(nnsig.PublicKey, "theta_bias"):
-    def theta_bias(pk, theta):
-        return pk.theta_bias(theta)
-else:
-    from nnsig.scheme import _theta_bias
-    def theta_bias(pk, theta):
-        return _theta_bias(pk, pk.w_theta_bar, theta)
 from harness import calibration_kernel
 sets, rho, repeats = json.loads(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 MESSAGES, CAL_RUNS = 16, 3
@@ -125,7 +116,7 @@ for p, n in sets:
         reject_s = per_call(nnsig.verify, [(pk, theta, bytes([m[0] ^ 1]) + m[1:], sig)
                                            for pk, theta, m, sig in signed])
         fresh = [(pk, field.sample_vector(rng, n)) for _ in range(MESSAGES)]
-        switch_s = per_call(theta_bias, fresh)
+        switch_s = per_call(nnsig.PublicKey.theta_bias, fresh)
         digest_s = per_call(hash_to_field, [(m, n, field) for m in messages])
         cal += calibrate()
         if k:
