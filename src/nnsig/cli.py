@@ -33,7 +33,7 @@ from .errors import (
     MalformedFrame,
     ParameterError,
 )
-from .field import Field, is_prime
+from .field import Field, is_prime, system_rng
 
 EXIT_OK = 0
 EXIT_PARAMS = 1
@@ -74,9 +74,7 @@ def _master_seed(args) -> Optional[bytes]:
 
 def _rng_for(master: Optional[bytes], tag: bytes):
     if master is None:
-        import secrets
-
-        return secrets.SystemRandom()
+        return system_rng()
     from .network import _sub_rng
 
     return _sub_rng(master, tag)
@@ -265,10 +263,8 @@ def _resolve_params_p(args) -> int:
     if args.p_bits > MAX_P_BITS:
         raise LimitExceeded(f"--p-bits {args.p_bits} is above the limit of {MAX_P_BITS}")
     candidate = (1 << args.p_bits) - 1
-    while candidate >= 3 and not is_prime(candidate):
+    while not is_prime(candidate):  # stops at 3 at the latest
         candidate -= 2
-    if candidate < 3:
-        raise ParameterError(f"no prime below 2^{args.p_bits}")
     return candidate
 
 
@@ -282,11 +278,8 @@ def cmd_params(args) -> int:
     _say(args, f"keyspace bits         : {est.keyspace_bits:.4f}")
     _say(args, f"classical >= {est.level:<4d}     : {'PASS' if est.classical_ok else 'FAIL'}")
     _say(args, f"quantum grover (>= {2 * est.level}): {'PASS' if est.quantum_ok_grover else 'FAIL'}")
-    _say(
-        args,
-        f"quantum doubled-log (2x >= {est.level}): "
-        f"{'PASS' if est.quantum_ok_doubled_log else 'FAIL'}",
-    )
+    _say(args, f"quantum doubled-log (2x >= {est.level}): "
+               f"{'PASS' if est.quantum_ok_doubled_log else 'FAIL'}")
     _emit_json(args, est._asdict())
     return EXIT_OK
 
@@ -304,13 +297,11 @@ def cmd_attack(args) -> int:
     start = time.perf_counter()
     solutions = brute_force_solve(instance)
     elapsed = time.perf_counter() - start
-    recovered = any(
-        s.exponent == planted.exponent and s.perm == planted.perm for s in solutions
-    )
+    recovered = planted in solutions
     _say(args, f"planted: a={planted.exponent} perm={list(planted.perm.perm)}")
     _say(args, f"search space: (p-1) * n! = {(args.p - 1)} * {math.factorial(args.n)} candidates")
     for s in solutions:
-        marker = "  <- planted" if s.exponent == planted.exponent and s.perm == planted.perm else ""
+        marker = "  <- planted" if s == planted else ""
         _say(args, f"solution: a={s.exponent} perm={list(s.perm.perm)}{marker}")
     _say(args, f"{len(solutions)} solution(s) in {elapsed:.3f}s; planted recovered: {recovered}")
     _emit_json(

@@ -10,9 +10,10 @@ Field operations are counted at one point: every kernel reports its work
 through :func:`tally`, which adds it to the counter that :func:`count_ops`
 installed on the calling thread, if any.
 
-Also home to :class:`Value` and :class:`FrozenValue`, the base of the
-package's value classes that validate, memoise or mutate; the plain records
-are ``typing.NamedTuple``s.  Both are cheap to import and to build, a cost
+Also home to :func:`system_rng`, the draw of every caller not given an rng,
+and to :class:`Value` and :class:`FrozenValue`, the base of the package's
+value classes that validate, memoise or mutate; the plain records are
+``typing.NamedTuple``s.  The two are cheap to import and to build, a cost
 that every ``python -m nnsig`` child pays before it does any work.
 """
 
@@ -208,3 +209,10 @@ class Field(FrozenValue):
     def sample_vector(self, rng, length: int) -> tuple:
         p = self.p
         return tuple(rng.randrange(p) for _ in range(length))
+
+
+def system_rng():
+    """The operating system's CSPRNG; a seeded run never imports ``secrets``."""
+    import secrets
+
+    return secrets.SystemRandom()

@@ -154,16 +154,14 @@ QUANTUM_STYLES = ("grover", "doubled_log")
 
 
 def classical_security_ok(n: int, p: int, level: int) -> bool:
-    return classical_security_bits(n, p) >= level
+    return estimate(n, p, level).classical_ok
 
 
 def quantum_security_ok(n: int, p: int, level: int, style: str = "grover") -> bool:
     if style not in QUANTUM_STYLES:
         raise ParameterError(f"unknown quantum style {style!r}; pick from {QUANTUM_STYLES}")
-    bits = classical_security_bits(n, p)
-    if style == "grover":
-        return bits >= 2 * level
-    return 2 * bits >= level
+    est = estimate(n, p, level)
+    return est.quantum_ok_grover if style == "grover" else est.quantum_ok_doubled_log
 
 
 class SecurityEstimate(NamedTuple):

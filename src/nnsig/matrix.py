@@ -352,10 +352,6 @@ def scaled_chain(a: MatrixZp, scales) -> Tuple[MatrixZp, MatrixZp]:
     return MatrixZp(a.field, rows), MatrixZp(a.field, total)
 
 
-def transpose(a: MatrixZp) -> MatrixZp:
-    return MatrixZp(a.field, tuple(zip(*a.rows)))
-
-
 def mat_inv(a: MatrixZp) -> MatrixZp:
     """Gauss-Jordan inverse; raises SingularMatrixError when rank-deficient."""
     if a.n_rows != a.n_cols:
@@ -524,10 +520,6 @@ class PermutationMatrix(FrozenValue):
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    @classmethod
-    def identity(cls, n: int) -> "PermutationMatrix":
-        return cls(tuple(range(n)))
 
     @classmethod
     def random(cls, n: int, rng) -> "PermutationMatrix":

@@ -32,8 +32,9 @@ theta      NNSIGTH1  (none)   (none)                      theta vector
 =========  ========  =======  ==========================  ======================
 
 Each fixed header is one ``struct.Struct`` below, shared by the serializer
-and the parser.  The secret file stores both permutations as one run of 2n
-u32 indices, the weight matrix as one little-endian integer of
+and the parser.  The key parsers only decode; a key its class refuses is a
+``MalformedEncoding``.  The secret file stores both permutations as one run
+of 2n u32 indices, the weight matrix as one little-endian integer of
 ``ceil(n^2 / 8)`` bytes whose bit ``r*n + c`` is entry (r, c) (0 -> 1,
 1 -> p-1; the padding bits above bit n^2 must be zero), and the attention
 schedule as rho raw element vectors.
@@ -43,12 +44,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-import secrets
 import struct
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import DimensionMismatch, MalformedEncoding, ParameterError
-from .field import Field, FrozenValue, Value
+from .field import Field, FrozenValue, Value, system_rng
 from .matrix import (
     MatrixZp,
     PackedMatVec,
@@ -126,18 +126,29 @@ def hash_to_field(message: bytes, n: int, field: Field) -> tuple:
 # --- key objects ------------------------------------------------------------
 
 
+def _check_split(n: int, l: int) -> None:
+    """The digest split of both key types: the verifier compares rows n-l.. and l.."""
+    if not 1 <= l < n:
+        raise ParameterError(f"digest split must satisfy 1 <= l < n, got l={l}, n={n}")
+
+
 class PublicKey(FrozenValue):
-    """The public map, with ``Wbar_theta`` and rows ``min(l, n - l)..`` of
-    ``Wbar_x`` packed once; ``_bias`` is the memo of ``_bias_entry``."""
+    """The public map, checked when built (``1 <= l < n``; both matrices n x n
+    over ``field``).  ``Wbar_theta`` and rows ``_first..`` of ``Wbar_x``, the
+    rows verification reads, are packed once; ``_bias`` memoises ``_bias_entry``."""
 
     _fields = ("field", "n", "l", "w_x_bar", "w_theta_bar")
     _bias = None
 
     def __init__(self, field: Field, n: int, l: int, w_x_bar: MatrixZp,
                  w_theta_bar: MatrixZp) -> None:
-        tail = MatrixZp(field, w_x_bar.rows[min(l, n - l):])
+        _check_split(n, l)
+        if any(m.field != field or m.n_rows != n or m.n_cols != n for m in (w_x_bar, w_theta_bar)):
+            raise DimensionMismatch(f"w_x and w_theta must be {n}x{n} over Z_{field.p}")
+        first = min(l, n - l)
         vars(self).update(field=field, n=n, l=l, w_x_bar=w_x_bar, w_theta_bar=w_theta_bar,
-                          _tail=PackedMatVec(tail), _theta_product=PackedMatVec(w_theta_bar))
+                          _first=first, _tail=PackedMatVec(MatrixZp(field, w_x_bar.rows[first:])),
+                          _theta_product=PackedMatVec(w_theta_bar))
 
     def theta_bias(self, theta) -> tuple:
         """Wbar_theta @ theta, memoised for the last theta."""
@@ -156,8 +167,10 @@ class PublicKey(FrozenValue):
         memo = self._bias
         if memo is not None and memo[0] == key:
             return memo
+        if len(key) != self.n:
+            raise DimensionMismatch(f"theta has length {len(key)}, expected {self.n}")
         bias = self._theta_product(key)
-        memo = (key, bias, self._tail.pack(bias[min(self.l, self.n - self.l):]))
+        memo = (key, bias, self._tail.pack(bias[self._first:]))
         object.__setattr__(self, "_bias", memo)
         return memo
 
@@ -180,8 +193,7 @@ class SecretKey(Value):
                  l_theta: PermutationMatrix, a: int, b: int,
                  weights: SynapticWeights, schedule: AttentionSchedule) -> None:
         p = field.p
-        if not 1 <= l < n:
-            raise ParameterError(f"digest split must satisfy 1 <= l < n, got l={l}, n={n}")
+        _check_split(n, l)
         if not (2 <= a <= p - 2 and 2 <= b <= p - 2):
             raise ParameterError(f"mask exponents must lie in [2, {p - 2}]")
         if l_x.n != n or l_theta.n != n:
@@ -194,10 +206,6 @@ class SecretKey(Value):
             raise ParameterError(f"schedule must be rho >= 1 steps of {n} entries in [1, {p - 1}]")
         vars(self).update(field=field, n=n, l=l, l_x=l_x, l_theta=l_theta, a=a, b=b,
                           weights=weights, schedule=schedule)
-
-    @property
-    def rho(self) -> int:
-        return self.schedule.rho
 
     def unrolled_maps(self):
         return unroll(self.weights, self.schedule)
@@ -254,7 +262,7 @@ def keygen(
     """
     if config.field.p < 5:
         raise ParameterError("keygen needs p >= 5 so the exponent range [2, p-2] is nonempty")
-    rng = rng or secrets.SystemRandom()
+    rng = rng or system_rng()
     weights, schedule = build_network(config)
     p = config.field.p
     a = rng.randrange(2, p - 1)
@@ -282,9 +290,7 @@ def sign(
     recover them, and enough Mersenne Twister outputs give away its state.
     """
     n, l, field = sk.n, sk.l, sk.field
-    if len(theta) != n:
-        raise DimensionMismatch(f"theta has length {len(theta)}, expected {n}")
-    rng = rng or secrets.SystemRandom()
+    rng = rng or system_rng()
     h = hash_to_field(message, n, field)
     h0, h1 = h[:l], h[l:]
     r0 = field.sample_vector(rng, n - l)
@@ -313,13 +319,10 @@ def verify(
     subtracts the bias from sigma instead and runs the same product with no
     addend, with the same early exit.
     """
-    n, l, field = pk.n, pk.l, pk.field
-    if len(theta) != n:
-        raise DimensionMismatch(f"theta has length {len(theta)}, expected {n}")
+    n, l, field, first = pk.n, pk.l, pk.field, pk._first
     if len(signature.sigma0) != n or len(signature.sigma1) != n:
         raise DimensionMismatch("signature vector length does not match n")
     h = hash_to_field(message, n, field)
-    first = min(l, n - l)
     if literal_form:
         bias = pk.theta_bias(theta)
         return all(
@@ -346,17 +349,16 @@ def serialize_public_key(pk: PublicKey) -> bytes:
 
 
 def parse_public_key(data: bytes) -> PublicKey:
+    """Decode a public-key file; ``PublicKey`` checks what the bytes hold."""
     (p, n, l), off = read_header(data, PK_MAGIC, FORMAT_VERSION, "public-key", _PK_HEADER)
     field = field_from_wire(p)
-    if n < 2 or not 1 <= l < n:
-        raise MalformedEncoding(f"bad public-key dimensions n={n}, l={l}")
     w_x_bar, off = read_matrix(field, data, off)
     w_theta_bar, off = read_matrix(field, data, off)
     expect_end(data, off, "public key")
-    for m, name in ((w_x_bar, "w_x"), (w_theta_bar, "w_theta")):
-        if m.n_rows != n or m.n_cols != n:
-            raise MalformedEncoding(f"{name} matrix is {m.n_rows}x{m.n_cols}, expected {n}x{n}")
-    return PublicKey(field=field, n=n, l=l, w_x_bar=w_x_bar, w_theta_bar=w_theta_bar)
+    try:
+        return PublicKey(field=field, n=n, l=l, w_x_bar=w_x_bar, w_theta_bar=w_theta_bar)
+    except (ParameterError, DimensionMismatch) as exc:
+        raise MalformedEncoding(f"bad public key: {exc}") from exc
 
 
 def serialize_secret_key(sk: SecretKey) -> bytes:
@@ -366,7 +368,7 @@ def serialize_secret_key(sk: SecretKey) -> bytes:
     return b"".join([
         SK_MAGIC,
         bytes([FORMAT_VERSION]),
-        _SK_HEADER.pack(sk.field.p, n, sk.l, sk.rho, sk.a, sk.b),
+        _SK_HEADER.pack(sk.field.p, n, sk.l, sk.schedule.rho, sk.a, sk.b),
         encode_uints((*sk.l_x.perm, *sk.l_theta.perm), 4),
         int(bits[::-1], 2).to_bytes((n * n + 7) // 8, "little"),
         encode_elements(sk.field, [x for vec in sk.schedule.vectors for x in vec]),

@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import functools
 import random
-import secrets
 import struct
 from typing import List, NamedTuple, Optional, Tuple, Union
 
@@ -43,7 +42,7 @@ from .errors import (
     ParameterError,
     UnknownTag,
 )
-from .field import Field, FrozenValue, Value
+from .field import Field, FrozenValue, Value, system_rng
 from .matrix import (
     MatrixZp,
     SquaringTable,
@@ -205,7 +204,7 @@ class SyncSession(Value):
         d is redrawn while ``W^d`` is the identity: that share would make
         ``W_s = I`` and the mask public, and the peer rejects it.
         """
-        rng = rng or secrets.SystemRandom()
+        rng = rng or system_rng()
         p = config.field.p
         if is_identity(config.weights.w):
             raise ParameterError("the base matrix is the identity, so every DH share would be")

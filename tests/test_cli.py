@@ -254,7 +254,7 @@ def test_parse_endpoint_port_range():
     assert _parse_endpoint("127.0.0.1:0") == ("127.0.0.1", 0)
     assert _parse_endpoint("localhost:65535") == ("localhost", 65535)
     assert _parse_endpoint("[::1]:7700") == ("::1", 7700)
-    for text in ("127.0.0.1:-1", "127.0.0.1:65536", "[]:7700"):
+    for text in ("127.0.0.1:-1", "127.0.0.1:65536", "[]:7700", "127.0.0.1:http"):
         with pytest.raises(ParameterError):
             _parse_endpoint(text)
 
@@ -474,6 +474,7 @@ def test_params_output_and_validation(capsys):
     assert main(["params", "--n", "26", "--p", "256"]) == 1
     assert main(["params", "--n", "26"]) == 1
     assert main(["params", "--n", "26", "--p", "257", "--p-bits", "8"]) == 1
+    assert main(["params", "--n", "26", "--p-bits", "1"]) == 1
     assert main(["params", "--n", "26", "--p-bits", "8", "--json"]) == 0
     assert _json_lines(capsys)[-1]["p"] == 251
 

@@ -133,7 +133,8 @@ def test_sign_and_verify_skip_sync_metrics_and_socket(files, command):
     code, modules = _child(files, *args)
     assert code == 0
     assert "nnsig.scheme" in modules
-    assert not {"nnsig.sync", "nnsig.metrics", "socket", *HEAVY} & modules
+    # The sign child is seeded and verify draws nothing: neither needs the CSPRNG.
+    assert not {"nnsig.sync", "nnsig.metrics", "socket", "secrets", *HEAVY} & modules
 
 
 @pytest.mark.parametrize("args", [
@@ -152,12 +153,18 @@ def test_unresolvable_host_still_exits_connect(files):
     code, modules = _child(files, "keygen", "--n", "6", "--rho", "4", "--seed", "03",
                            "--export-shared", "s.bin")
     assert code == 0
-    assert not HEAVY & modules
+    assert not {"secrets", *HEAVY} & modules
     code, modules = _child(files, "sync", "--config", "s.bin",
                            "--connect", "no-such-host.invalid:1")
     assert code == 4
     assert "socket" in modules
     assert not HEAVY & modules
+    # A seeded session draws its exponents from the seed alone; port 1 on the
+    # loopback refuses the connection.
+    code, modules = _child(files, "sync", "--config", "s.bin", "--connect", "127.0.0.1:1",
+                           "--seed", "05")
+    assert code == 4
+    assert not {"secrets", *HEAVY} & modules
 
 
 @pytest.mark.parametrize("args", [

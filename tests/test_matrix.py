@@ -29,7 +29,6 @@ from nnsig.matrix import (
     mat_vec,
     random_invertible,
     random_matrix,
-    transpose,
     vec_add,
     vec_mat,
     vec_sub,
@@ -75,6 +74,8 @@ def test_mul_shape_mismatch(f5):
     a = from_rows(f5, [[1, 2, 3], [4, 0, 1]])
     with pytest.raises(DimensionMismatch):
         mat_mul(a, a)
+    with pytest.raises(DimensionMismatch, match="different fields"):
+        mat_mul(a, from_rows(Field(7), [[1, 0], [0, 1], [0, 0]]))
 
 
 def test_pow_trivial_exponents(f7):
@@ -123,8 +124,9 @@ def test_inverse_anti_homomorphism(f257):
 def test_permutation_inverse_is_transpose(f5):
     perm = PermutationMatrix((2, 0, 1))
     m = perm.to_matrix(f5)
-    assert mat_inv(m) == transpose(m)
-    assert perm.inverse().to_matrix(f5) == transpose(m)
+    transpose = MatrixZp(f5, tuple(zip(*m.rows)))
+    assert mat_inv(m) == transpose
+    assert perm.inverse().to_matrix(f5) == transpose
 
 
 def test_singular_matrix_rejected(f5):

@@ -32,6 +32,7 @@ from nnsig.matrix import (
 )
 from nnsig.network import NetworkConfig, SynapticWeights, build_network
 from nnsig.scheme import (
+    PublicKey,
     Signature,
     derive_keypair,
     hash_to_field,
@@ -160,7 +161,7 @@ def test_keygen_mask_structure():
 def test_identity_permutations_expose_bare_powers(f257):
     config = NetworkConfig(n=6, field=f257, rho=4, seed=b"bare")
     weights, schedule = build_network(config)
-    ident = PermutationMatrix.identity(6)
+    ident = PermutationMatrix(tuple(range(6)))
     pk, sk = derive_keypair(config, weights, schedule, 3, 5, ident, ident)
     from nnsig.network import unroll
 
@@ -194,7 +195,7 @@ def test_keygen_rejects_tiny_modulus():
 def test_derive_keypair_validation(f257):
     config = NetworkConfig(n=4, field=f257, rho=2, seed=b"v")
     weights, schedule = build_network(config)
-    ident = PermutationMatrix.identity(4)
+    ident = PermutationMatrix(tuple(range(4)))
     with pytest.raises(ParameterError):
         derive_keypair(config, weights, schedule, 1, 5, ident, ident)
     with pytest.raises(ParameterError):
@@ -210,7 +211,7 @@ def test_derive_keypair_refuses_weights_the_secret_key_file_cannot_hold(f257):
     field would be written as a different key."""
     config = NetworkConfig(n=4, field=f257, rho=2, seed=b"w")
     weights, schedule = build_network(config)
-    ident = PermutationMatrix.identity(4)
+    ident = PermutationMatrix(tuple(range(4)))
     rows = [list(row) for row in weights.w.rows]
     rows[0][0] = 2
     three = [row[:3] for row in weights.w.rows[:3]]
@@ -237,7 +238,7 @@ def test_derive_keypair_refuses_schedules_and_weights_no_key_holds(f257):
 
     config = NetworkConfig(n=4, field=f257, rho=2, seed=b"s")
     weights, schedule = build_network(config)
-    ident = PermutationMatrix.identity(4)
+    ident = PermutationMatrix(tuple(range(4)))
     first, second = schedule.vectors
     for bad in ((0,) + first[1:], (257,) + first[1:], first[:3]):
         with pytest.raises(ParameterError):
@@ -450,6 +451,16 @@ def test_split_index_edges():
         theta = _theta(pk.field, 8)
         sig = sign(sk, theta, b"edge", random.Random(8))
         assert verify(pk, theta, b"edge", sig)
+    # A public key refuses a split that leaves a half with no rows to compare,
+    # and matrices of any other size than n x n.
+    pk, _ = _keypair(n=6)
+    w_x, w_theta = pk.w_x_bar, pk.w_theta_bar
+    for l in (0, 6):
+        with pytest.raises(ParameterError, match="1 <= l < n"):
+            PublicKey(pk.field, 6, l, w_x, w_theta)
+    five = MatrixZp(pk.field, tuple(row[:5] for row in w_theta.rows[:5]))
+    with pytest.raises(DimensionMismatch, match="6x6"):
+        PublicKey(pk.field, 6, 3, w_x, five)
 
 
 def _verify_oracle(pk, theta, message, sig):
@@ -537,6 +548,8 @@ def test_shape_errors():
         verify(pk, theta[:5], b"m", sig)
     with pytest.raises(DimensionMismatch):
         verify(pk, theta, b"m", Signature(sig.sigma0[:5], sig.sigma1))
+    with pytest.raises(DimensionMismatch, match="different lengths"):
+        serialize_signature(Signature(sig.sigma0[:5], sig.sigma1), pk.field)
 
 
 # --- serialization ------------------------------------------------------------
@@ -634,6 +647,10 @@ def test_parse_rejects_out_of_range_entries():
     struct.pack_into("<H", sblob, len(sblob) - 2, 257)
     with pytest.raises(MalformedEncoding):
         parse_signature(bytes(sblob), pk.field)
+    for n in (0, 1):  # a signature needs n >= 2, as a key does
+        short = sblob[:9] + struct.pack("<I", n) + bytes(2 * 2 * n)
+        with pytest.raises(MalformedEncoding, match=f"length n={n}"):
+            parse_signature(short, pk.field)
 
 
 def test_parse_rejects_composite_modulus():
@@ -663,3 +680,8 @@ def test_parse_rejects_bad_exponent_and_schedule():
     struct.pack_into("<H", blob2, len(blob2) - 2, 0)  # schedule entries must be nonzero
     with pytest.raises(MalformedEncoding):
         parse_secret_key(bytes(blob2))
+    # n = 0 leaves nothing to read after the header; rho = 2^63 empty schedule
+    # rows must not be built.
+    empty = blob[:9] + struct.pack("<6Q", 257, 0, 0, 2**63, 2, 2)
+    with pytest.raises(MalformedEncoding, match="n=0"):
+        parse_secret_key(empty)

@@ -19,6 +19,7 @@ from nnsig.matrix import MatrixZp, PermutationMatrix
 from nnsig.metrics import MeasuredSizes, formula_sizes, op_count_report
 from nnsig.network import NetworkConfig, SynapticWeights, build_network, unroll
 from nnsig.scheme import (
+    PublicKey,
     Signature,
     keygen,
     parse_public_key,
@@ -90,8 +91,10 @@ CASES = {
                        memos=("base_powers",), touch=lambda c: c.base_powers,
                        bad=(lambda: SyncConfig(WEIGHTS, (1, 2, 3, 4), u=0), ParameterError)),
     "PublicKey": Case(lambda: parse_public_key(PK_BLOB), lambda: OTHER_PK,
-                      memos=("_bias", "_tail", "_theta_product"),
-                      touch=lambda pk: verify(pk, THETA, b"m", Signature((0,) * 4, (0,) * 4))),
+                      memos=("_bias", "_first", "_tail", "_theta_product"),
+                      touch=lambda pk: verify(pk, THETA, b"m", Signature((0,) * 4, (0,) * 4)),
+                      bad=(lambda: PublicKey(FIELD, 4, 4, _pk.w_x_bar, _pk.w_theta_bar),
+                           ParameterError)),
     "SecretKey": Case(lambda: parse_secret_key(SK_BLOB), lambda: OTHER_SK,
                       memos=("_public", "_sign_mat"),
                       touch=lambda sk: sign(sk, THETA, b"m", random.Random(1)), mutable=True),
