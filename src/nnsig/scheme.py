@@ -11,10 +11,11 @@ that hold the digest tails and compares them.  The public key packs
 verification reads once, when it is built, and keeps the bias
 ``Wbar_theta @ theta`` of the last theta either side asked it for, so a new
 theta costs one packed product; the signer reads its bias through its own
-public key.  The same memo entry holds the bias's tail rows packed in the
-slots of the ``Wbar_x`` tail product, so each verification half is one
-packed pass: the products and the bias are summed in one big int, unpacked
-and reduced once.  These attributes stay out of ``==`` and ``repr``.
+public key.  The first verification under a theta adds the bias's tail rows,
+packed in the slots of the ``Wbar_x`` tail product, to that memo entry, so
+each verification half is one packed pass: products and bias are summed in
+one big int, unpacked and reduced once.  These attributes stay out of ``==``
+and ``repr``.
 
 Verification adds the bias term after applying the public map — the variant
 that subtracts it first (kept behind ``literal_form=True``) does not invert
@@ -29,6 +30,7 @@ public     NNSIGPK1  u8       ``<QII`` p, n, l            Wbar_x | Wbar_theta
 secret     NNSIGSK1  u8       ``<6Q`` p, n, l, rho, a, b  perms | W bits | sched
 signature  NNSIGSG1  u8       ``<I`` n                    sigma0 | sigma1
 theta      NNSIGTH1  (none)   (none)                      theta vector
+shared     NNSIGSH1  u8       ``<QI`` p, n                base matrix W | Q
 =========  ========  =======  ==========================  ======================
 
 Each fixed header is one ``struct.Struct`` below, shared by the serializer
@@ -45,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from typing import NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from .errors import DimensionMismatch, MalformedEncoding, ParameterError
 from .field import Field, FrozenValue, Value, system_rng
@@ -70,18 +72,22 @@ from .matrix import (
     split_rows,
     vec_sub,
 )
-from .network import AttentionSchedule, NetworkConfig, SynapticWeights, build_network, unroll
+if TYPE_CHECKING:  # a verify child never loads network; the functions that need it import it
+    from .network import AttentionSchedule, NetworkConfig, SynapticWeights
 
 PK_MAGIC = b"NNSIGPK1"
 SK_MAGIC = b"NNSIGSK1"
 SIG_MAGIC = b"NNSIGSG1"
 THETA_MAGIC = b"NNSIGTH1"
+SETUP_MAGIC = b"NNSIGSH1"
 FORMAT_VERSION = 1
+SETUP_VERSION = 1
 
 # The fixed header fields after each file's magic and version byte.
 _PK_HEADER = struct.Struct("<QII")  # p, n, l
 _SK_HEADER = struct.Struct("<6Q")  # p, n, l, rho, a, b
 _SIG_HEADER = struct.Struct("<I")  # n
+_SETUP_HEADER = struct.Struct("<QI")  # p, n
 
 _DOMAIN = b"nnsig-v1"
 _U32 = struct.Struct("<I")
@@ -135,7 +141,8 @@ def _check_split(n: int, l: int) -> None:
 class PublicKey(FrozenValue):
     """The public map, checked when built (``1 <= l < n``; both matrices n x n
     over ``field``).  ``Wbar_theta`` and rows ``_first..`` of ``Wbar_x``, the
-    rows verification reads, are packed once; ``_bias`` memoises ``_bias_entry``."""
+    rows verification reads, are packed once; ``_bias`` memoises ``_bias_entry``
+    and ``_packed_bias``."""
 
     _fields = ("field", "n", "l", "w_x_bar", "w_theta_bar")
     _bias = None
@@ -155,8 +162,8 @@ class PublicKey(FrozenValue):
         return self._bias_entry(theta)[1]
 
     def _bias_entry(self, theta) -> tuple:
-        """``(theta, bias, packed)`` for the last theta: ``packed`` holds the
-        bias rows of ``_tail`` in its slots, the addend of ``verify``'s products.
+        """``(theta, bias)`` for the last theta, or ``(theta, bias, packed)``
+        once ``_packed_bias`` has packed the bias rows of ``_tail`` in its slots.
 
         The memo is that one tuple, replaced whole, so a race between threads
         costs a recomputation and never pairs a theta with another's bias.
@@ -169,10 +176,17 @@ class PublicKey(FrozenValue):
             return memo
         if len(key) != self.n:
             raise DimensionMismatch(f"theta has length {len(key)}, expected {self.n}")
-        bias = self._theta_product(key)
-        memo = (key, bias, self._tail.pack(bias[self._first:]))
+        memo = (key, self._theta_product(key))
         object.__setattr__(self, "_bias", memo)
         return memo
+
+    def _packed_bias(self, theta) -> int:
+        """The addend of ``verify``'s products, packed the first time it is read."""
+        memo = self._bias_entry(theta)
+        if len(memo) == 2:
+            memo += (self._tail.pack(memo[1][self._first:]),)
+            object.__setattr__(self, "_bias", memo)
+        return memo[2]
 
 
 class Signature(NamedTuple):
@@ -208,6 +222,8 @@ class SecretKey(Value):
                           weights=weights, schedule=schedule)
 
     def unrolled_maps(self):
+        from .network import unroll
+
         return unroll(self.weights, self.schedule)
 
     def public_key(self) -> PublicKey:
@@ -262,6 +278,8 @@ def keygen(
     """
     if config.field.p < 5:
         raise ParameterError("keygen needs p >= 5 so the exponent range [2, p-2] is nonempty")
+    from .network import build_network
+
     rng = rng or system_rng()
     weights, schedule = build_network(config)
     p = config.field.p
@@ -329,7 +347,7 @@ def verify(
             pk._tail(vec_sub(field, sigma, bias), n - len(half) - first) == half
             for sigma, half in ((signature.sigma0, h[:l]), (signature.sigma1, h[l:]))
         )
-    packed = pk._bias_entry(theta)[2]
+    packed = pk._packed_bias(theta)
     if pk._tail(signature.sigma0, n - l - first, packed) != h[:l]:
         return False
     return pk._tail(signature.sigma1, l - first, packed) == h[l:]
@@ -377,6 +395,8 @@ def serialize_secret_key(sk: SecretKey) -> bytes:
 
 def parse_secret_key(data: bytes) -> SecretKey:
     """Decode a secret-key file; ``SecretKey`` checks what the bytes hold."""
+    from .network import AttentionSchedule, SynapticWeights
+
     (p, n, l, rho, a, b), off = read_header(
         data, SK_MAGIC, FORMAT_VERSION, "secret-key", _SK_HEADER
     )
@@ -436,3 +456,30 @@ def decode_theta(field: Field, data: bytes) -> tuple:
     vec, off = read_vector(field, data, off)
     expect_end(data, off, "theta vector")
     return vec
+
+
+def encode_shared_setup(weights: SynapticWeights, q: tuple) -> bytes:
+    field = weights.w.field
+    return (
+        SETUP_MAGIC
+        + bytes([SETUP_VERSION])
+        + _SETUP_HEADER.pack(field.p, weights.n)
+        + encode_matrix(weights.w)
+        + encode_vector(field, q)
+    )
+
+
+def decode_shared_setup(data: bytes) -> Tuple[SynapticWeights, tuple]:
+    from .network import SynapticWeights
+
+    (p, n), off = read_header(data, SETUP_MAGIC, SETUP_VERSION, "shared-setup", _SETUP_HEADER)
+    field = field_from_wire(p)
+    w, off = read_matrix(field, data, off)
+    q, off = read_vector(field, data, off)
+    expect_end(data, off, "shared setup")
+    if len(q) != n or w.n_rows != n or w.n_cols != n:
+        raise MalformedEncoding("shared-setup dimensions are inconsistent")
+    try:
+        return SynapticWeights(w), q
+    except ParameterError as exc:
+        raise MalformedEncoding(f"bad shared-setup base matrix: {exc}") from exc

@@ -51,29 +51,21 @@ from .matrix import (
     det,
     encode_matrix,
     encode_vector,
-    expect_end,
-    field_from_wire,
     is_identity,
     mat_pow,
-    read_header,
-    read_matrix,
-    read_vector,
     vec_add,
 )
 from .network import SynapticWeights
-# The theta file codec lives in scheme, beside the other file codecs; sync
-# re-exports it.
-from .scheme import THETA_MAGIC, decode_theta, encode_theta, hash_to_field  # noqa: F401
+# The theta and shared-setup file codecs live in scheme, beside the other file
+# codecs; sync re-exports them.
+from .scheme import (SETUP_MAGIC, SETUP_VERSION, THETA_MAGIC, decode_shared_setup,  # noqa: F401
+                     decode_theta, encode_shared_setup, encode_theta, hash_to_field)
 
 TAG_DH_MATRIX = 0x01
 TAG_PUBLIC_VECTOR = 0x02
 MAX_PAYLOAD = 1 << 24  # 16 MiB: far above any real frame, low enough to stop bombs
 
-SETUP_MAGIC = b"NNSIGSH1"
-SETUP_VERSION = 1
-
 _HDR = struct.Struct("<BI")
-_SETUP_HEADER = struct.Struct("<QI")  # p, n
 
 
 # --- wire codec ---------------------------------------------------------------
@@ -334,31 +326,3 @@ def run_over_socket(session: SyncSession, sock) -> tuple:
     session.receive_dh(recv_frame(sock))
     sock.sendall(session.public_vector())
     return session.finalize(recv_frame(sock))
-
-
-# --- shared-setup file ---------------------------------------------------------
-
-
-def encode_shared_setup(weights: SynapticWeights, q: tuple) -> bytes:
-    field = weights.w.field
-    return (
-        SETUP_MAGIC
-        + bytes([SETUP_VERSION])
-        + _SETUP_HEADER.pack(field.p, weights.n)
-        + encode_matrix(weights.w)
-        + encode_vector(field, q)
-    )
-
-
-def decode_shared_setup(data: bytes) -> Tuple[SynapticWeights, tuple]:
-    (p, n), off = read_header(data, SETUP_MAGIC, SETUP_VERSION, "shared-setup", _SETUP_HEADER)
-    field = field_from_wire(p)
-    w, off = read_matrix(field, data, off)
-    q, off = read_vector(field, data, off)
-    expect_end(data, off, "shared setup")
-    if len(q) != n or w.n_rows != n or w.n_cols != n:
-        raise MalformedEncoding("shared-setup dimensions are inconsistent")
-    try:
-        return SynapticWeights(w), q
-    except ParameterError as exc:
-        raise MalformedEncoding(f"bad shared-setup base matrix: {exc}") from exc

@@ -1,7 +1,8 @@
-"""The paired-benchmark tool's layer child, run against this tree's ``src``.
+"""The paired-benchmark tool's layer and CLI children, run against this tree.
 
-CI only imports ``tools/bench_pairs.py``; the child that times the set-up
-and per-message stages runs only inside a benchmark, so an API change could break it unseen.
+CI only imports ``tools/bench_pairs.py``; the children that time the set-up
+and per-message stages and the CLI commands run only inside a benchmark, so
+an API change could break them unseen.
 """
 
 from __future__ import annotations
@@ -34,3 +35,15 @@ def test_layer_child_times_the_four_set_up_stages():
                             "hash_to_field"]
     for times in (*stages.values(), result["calibration"]):
         assert len(times) == 2 and all(t > 0 for t in times)
+
+
+def test_cli_child_times_every_row():
+    argv = [sys.executable, "-c", _bench_pairs().CLI_CHILD, str(ROOT), "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["p=257,n=26"]
+    stages = result["stages"]
+    assert list(stages) == ["bare", "import", "help", "keygen", "sync_pair", "sign", "verify",
+                            "params", "attack"]
+    for times in (*stages.values(), result["calibration"]):
+        assert len(times) == 1 and times[0] > 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import socket
@@ -15,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import nnsig
-from nnsig.cli import _parse_endpoint, main
+from nnsig._cli_sync import _parse_endpoint
+from nnsig.cli import main
 from nnsig.errors import ParameterError
 
 
@@ -483,7 +486,7 @@ def test_params_refuses_p_bits_above_the_limit(monkeypatch, capsys):
     def searched(candidate):
         raise AssertionError(f"searched from {candidate}")
 
-    monkeypatch.setattr("nnsig.cli.is_prime", searched)
+    monkeypatch.setattr("nnsig._cli_analysis.is_prime", searched)
     assert main(["params", "--n", "26", "--p-bits", "1025", "--json"]) == 1
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "parameter" and "limit of 1024" in error["message"]
@@ -559,6 +562,42 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 1
     assert "error" in proc.stderr
+
+
+HELP_TEXTS = Path(__file__).with_name("cli_help_texts.json")
+
+
+def _full_parser_output(argv) -> dict:
+    """What a parser holding every subcommand's arguments prints for argv."""
+    from nnsig.cli import build_parser
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            build_parser().parse_args(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_help_and_usage_texts_are_unchanged(monkeypatch):
+    """``nnsig --help``, ``nnsig X --help`` for each X, and one usage error, run
+    as ``python -m nnsig``: each prints what the parser holding every
+    subcommand's arguments prints and, under the Python version that recorded
+    them, the texts that nnsig printed before it built only the named
+    subcommand's arguments (argparse's wording differs between versions)."""
+    recorded = json.loads(HELP_TEXTS.read_text())
+    monkeypatch.setenv("COLUMNS", str(recorded["columns"]))
+    env = dict(os.environ, PYTHONPATH=str(Path(nnsig.__file__).resolve().parent.parent))
+    same_python = recorded["python"] == "%d.%d" % sys.version_info[:2]
+    for case in recorded["cases"]:
+        proc = subprocess.run([sys.executable, "-m", "nnsig", *case["argv"]],
+                              capture_output=True, text=True, timeout=60, env=env)
+        got = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+        assert got == _full_parser_output(case["argv"]), case["argv"]
+        if same_python:
+            assert got == {key: case[key] for key in got}, case["argv"]
 
 
 def _singular_secret_key(tmp_path) -> Path:

@@ -39,11 +39,20 @@ PUBLIC = (
 # Standard modules no child may load: dataclasses pulls in inspect, and the two
 # cost each child more than a small subcommand's own work.
 HEAVY = {"dataclasses", "inspect"}
+# The modules of the sync handler and of the params, attack and bench handlers.
+HANDLERS = {"nnsig._cli_sync", "nnsig._cli_analysis"}
 
 # Runs in a fresh interpreter: nothing (``bare``), ``import nnsig`` or
 # ``python -m nnsig ARGS``, then writes the exit code and the loaded modules.
+# Under COLD_START_NO_DNS every name lookup fails as one of an unknown host
+# does, without asking a resolver.
 CHILD = """
-import runpy, sys
+import os, runpy, sys
+if os.environ.get("COLD_START_NO_DNS"):
+    import socket
+    def _no_such_host(*args, **kwargs):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+    socket.getaddrinfo = _no_such_host
 out, args = sys.argv[1], sys.argv[2:]
 code = 0
 if args == ["import"]:
@@ -61,8 +70,8 @@ with open(out, "w") as fh:
 """
 
 
-def _child(tmp_path, *args):
-    env = dict(os.environ)
+def _child(tmp_path, *args, no_dns=False):
+    env = dict(os.environ, COLD_START_NO_DNS="1" if no_dns else "")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     out = tmp_path / "modules.json"
     subprocess.run([sys.executable, "-c", CHILD, str(out), *args], cwd=tmp_path, env=env,
@@ -122,19 +131,25 @@ def test_import_help_and_params_skip_the_matrix_module(tmp_path, args):
     assert "nnsig.matrix" not in modules
 
 
-@pytest.mark.parametrize("command", ["sign", "verify"])
+@pytest.mark.parametrize("command", ["sign", "verify", "keygen"])
 def test_sign_and_verify_skip_sync_metrics_and_socket(files, command):
     args = {
         "sign": ["sign", "--sk", "k.sk", "--theta", "t.theta", "--in", "m.txt",
                  "--sig-out", "out.sig", "--seed", "01"],
         "verify": ["verify", "--pk", "k.pk", "--theta", "t.theta", "--in", "m.txt",
                    "--sig", "m.sig"],
+        # The shared-setup codec lives in scheme, so this child needs no sync.
+        "keygen": ["keygen", "--n", "6", "--rho", "4", "--seed", "06", "--pk-out", "x.pk",
+                   "--sk-out", "x.sk", "--export-shared", "x.bin"],
     }[command]
     code, modules = _child(files, *args)
     assert code == 0
     assert "nnsig.scheme" in modules
-    # The sign child is seeded and verify draws nothing: neither needs the CSPRNG.
-    assert not {"nnsig.sync", "nnsig.metrics", "socket", "secrets", *HEAVY} & modules
+    # The sign and keygen children are seeded and verify draws nothing: none
+    # needs the CSPRNG, and none loads another subcommand's handler.
+    assert not {"nnsig.sync", "nnsig.metrics", "socket", "secrets", *HANDLERS, *HEAVY} & modules
+    # Verify builds no key from secret parts, so it never loads the network.
+    assert ("nnsig.network" in modules) == (command != "verify")
 
 
 @pytest.mark.parametrize("args", [
@@ -146,16 +161,17 @@ def test_params_and_attack_skip_scheme_and_sync(tmp_path, args):
     code, modules = _child(tmp_path, *args)
     assert code == 0
     assert "nnsig.hardness" in modules
-    assert not {"nnsig.scheme", "nnsig.sync", *HEAVY} & modules
+    assert not {"nnsig.scheme", "nnsig.sync", "nnsig._cli_sync", *HEAVY} & modules
 
 
 def test_unresolvable_host_still_exits_connect(files):
     code, modules = _child(files, "keygen", "--n", "6", "--rho", "4", "--seed", "03",
                            "--export-shared", "s.bin")
     assert code == 0
-    assert not {"secrets", *HEAVY} & modules
+    assert not {"secrets", "nnsig.sync", *HANDLERS, *HEAVY} & modules
+    # The lookup fails inside the child, so no query leaves the machine.
     code, modules = _child(files, "sync", "--config", "s.bin",
-                           "--connect", "no-such-host.invalid:1")
+                           "--connect", "no-such-host.invalid:1", no_dns=True)
     assert code == 4
     assert "socket" in modules
     assert not HEAVY & modules

@@ -15,8 +15,10 @@ better direction by more than the parent's interquartile range.  It adds a
 table of stages (unroll, keygen, signer setup, sync pair, sign, verify, the
 bias of a fresh theta, a rejected verify and hash_to_field) at the ROADMAP's
 four parameter sets, timed in a child interpreter per checkout, again
-alternating, in milliseconds and in runs of perfbench's calibration kernel.
-Standard library only.
+alternating, in milliseconds and in runs of perfbench's calibration kernel;
+and a table of CLI children (a bare interpreter, ``import nnsig``, ``nnsig
+--help``, keygen, a sync pair, sign, verify, params and attack) at
+perfbench's CLI parameter set, timed the same way.  Standard library only.
 """
 
 from __future__ import annotations
@@ -129,6 +131,83 @@ print(json.dumps(out))
 """
 
 
+CLI_REPEATS = 9
+
+# Runs in a child interpreter with a checkout's directory as argv[1]; prints the
+# LAYER_CHILD layout for one key, perfbench's CLI_PARAMS.  Each repeat times one
+# child of each row, as perfbench's cli-session runs them (its SubprocessCli,
+# so PYTHONPATH points at the checkout's src and, under this tool's ENV, no
+# child writes bytecode): a bare interpreter, ``import nnsig``, ``--help``,
+# keygen --export-shared, a sync pair (listener and connector, timed together),
+# sign and verify of a 1 KiB message, params and attack.  Repeat 0 is an
+# untimed warm-up, and calibration is timed around each repeat as above.
+CLI_CHILD = r"""
+import json, os, shutil, statistics, sys, tempfile, time
+if hasattr(os, "sched_setaffinity"):  # one CPU, as perfbench/run.py does
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, os.path.join(sys.argv[1], "src"))
+sys.path.insert(0, os.path.join(sys.argv[1], "perfbench"))
+from harness import CLI_PARAMS, calibration_kernel, timed_run
+from workloads import SubprocessCli
+repeats, CAL_RUNS = int(sys.argv[2]), 3
+clock = time.perf_counter
+cli = SubprocessCli()
+p, n, rho = map(str, CLI_PARAMS)
+rows = ("bare", "import", "help", "keygen", "sync_pair", "sign", "verify", "params", "attack")
+
+def calibrate():
+    times = []
+    for _ in range(CAL_RUNS):
+        t0 = clock(); calibration_kernel(); times.append(clock() - t0)
+    return times
+
+def seconds(row, result):
+    if result[1] != 0:
+        raise SystemExit(f"{row} exited {result[1]}")
+    return result[0]
+
+work = tempfile.mkdtemp()
+at = lambda name: os.path.join(work, name)
+with open(at("m.bin"), "wb") as fh:
+    fh.write(bytes(range(256)) * 4)
+times = {row: [] for row in rows}
+calibration = []
+try:
+    for k in range(repeats + 1):
+        seed = "c1%02x" % k
+        cal = calibrate()
+        spent = [
+            seconds("bare", timed_run([sys.executable, "-c", "pass"])),
+            seconds("import", timed_run([sys.executable, "-c", "import nnsig"])),
+            seconds("help", cli.run(["--help"])),
+            seconds("keygen", cli.run(["keygen", "--p", p, "--n", n, "--rho", rho,
+                                       "--pk-out", at("k.pk"), "--sk-out", at("k.sk"),
+                                       "--export-shared", at("s.bin"), "--seed", seed])),
+        ]
+        pair, (code_a, _), (code_b, _) = cli.sync_pair(
+            ["sync", "--config", at("s.bin"), "--listen", "127.0.0.1:0",
+             "--theta-out", at("a.theta"), "--seed", seed + "a1"],
+            ["sync", "--config", at("s.bin"), "--theta-out", at("b.theta"), "--seed", seed + "b2"])
+        spent.append(seconds("sync_pair", (pair, code_a or code_b)))
+        spent += [
+            seconds("sign", cli.run(["sign", "--sk", at("k.sk"), "--theta", at("a.theta"), "--in",
+                                     at("m.bin"), "--sig-out", at("m.sig"), "--seed", seed])),
+            seconds("verify", cli.run(["verify", "--pk", at("k.pk"), "--theta", at("b.theta"),
+                                       "--in", at("m.bin"), "--sig", at("m.sig")])),
+            seconds("params", cli.run(["params", "--n", "43", "--p", "257"])),
+            seconds("attack", cli.run(["attack", "--n", "4", "--p", "31", "--seed", seed])),
+        ]
+        cal += calibrate()
+        if k:
+            for row, s in zip(rows, spent):
+                times[row].append(s)
+            calibration.append(statistics.median(cal))
+finally:
+    shutil.rmtree(work)
+print(json.dumps({f"p={p},n={n}": {"stages": times, "calibration": calibration}}))
+"""
+
+
 def git(*args, cwd=ROOT, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, **kwargs)
 
@@ -185,15 +264,30 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def run_layers(checkout: Path) -> dict:
-    argv = [sys.executable, "-c", LAYER_CHILD, str(checkout / "src"),
-            json.dumps(LAYER_SETS), str(LAYER_RHO), str(LAYER_REPEATS)]
-    proc = subprocess.run(argv, env=run_env(), capture_output=True, text=True, check=True)
+    return run_child([LAYER_CHILD, str(checkout / "src"), json.dumps(LAYER_SETS), str(LAYER_RHO),
+                      str(LAYER_REPEATS)])
+
+
+def run_cli(checkout: Path) -> dict:
+    return run_child([CLI_CHILD, str(checkout), str(CLI_REPEATS)])
+
+
+def run_child(argv) -> dict:
+    proc = subprocess.run([sys.executable, "-c", *argv], env=run_env(), capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(proc.stderr[-2000:])
     return json.loads(proc.stdout)
 
 
 def spread(runs) -> dict:
     q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
+
+
+UNITS = {"ms": "milliseconds",
+         "cal": "runs of perfbench's calibration kernel (harness.calibration_kernel), "
+                "the median of 6 runs around the same repeat"}
 
 
 def compare(parent, change, lower_is_better: bool) -> dict:
@@ -280,6 +374,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "workloads": workloads,
         "layers": layer_table(dirs),
+        "cli": cli_table(dirs),
     }
     out = ROOT / f"BENCH_{args.name}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
@@ -287,18 +382,18 @@ def main(argv=None) -> int:
     return 0
 
 
-def layer_table(dirs: dict) -> dict:
-    """Median, quartiles and change of each stage, in milliseconds and in runs
-    of perfbench's calibration kernel timed next to it."""
+def stage_rows(dirs: dict, run, label: str) -> dict:
+    """Median, quartiles and change of each stage that ``run(checkout)`` times,
+    in milliseconds and in runs of perfbench's calibration kernel timed next to it."""
     samples = {"parent": {}, "change": {}}
     for k in range(PAIRS):
         for side, checkout in alternate(k, *dirs.values()):
-            for key, result in run_layers(checkout).items():
+            for key, result in run(checkout).items():
                 for stage, seconds in result["stages"].items():
                     cell = samples[side].setdefault(key, {}).setdefault(stage, {"ms": [], "cal": []})
                     cell["ms"].extend(1e3 * s for s in seconds)
                     cell["cal"].extend(map(operator.truediv, seconds, result["calibration"]))
-            print(f"layers pair {k} {side} done", file=sys.stderr, flush=True)
+            print(f"{label} pair {k} {side} done", file=sys.stderr, flush=True)
     rows = {}
     for key, stages in samples["parent"].items():
         rows[key] = {}
@@ -310,6 +405,10 @@ def layer_table(dirs: dict) -> dict:
                     cell[side] = {k: v for k, v in cell[side].items() if k != "runs"}
                 del cell["change_wins"]  # repeats within a pair are not paired samples
                 rows[key][stage][unit] = cell
+    return rows
+
+
+def layer_table(dirs: dict) -> dict:
     return {
         "what": f"time of each stage, rho={LAYER_RHO}, {PAIRS} alternating pairs of one child "
                 f"interpreter per checkout, {LAYER_REPEATS} timed repeats per set after one "
@@ -320,10 +419,22 @@ def layer_table(dirs: dict) -> dict:
                 "on the public key, per theta over 16 thetas; verify_reject: verify of the same "
                 "signatures on their messages with one byte flipped (rejected after h0); "
                 "hash_to_field: the digest of each 1 KiB message",
-        "units": {"ms": "milliseconds",
-                  "cal": "runs of perfbench's calibration kernel (harness.calibration_kernel), "
-                         "the median of 6 runs around the same repeat"},
-        "stages": rows,
+        "units": UNITS,
+        "stages": stage_rows(dirs, run_layers, "layers"),
+    }
+
+
+def cli_table(dirs: dict) -> dict:
+    return {
+        "what": "wall time of one python -m nnsig child per row (the sync pair: listener and "
+                "connector together), run as perfbench's cli-session runs them, under "
+                f"{ENV}; {PAIRS} alternating pairs of one driver interpreter per checkout, "
+                f"{CLI_REPEATS} timed repeats after one untimed warm-up repeat. bare: python -c "
+                "pass; import: python -c 'import nnsig'; help: nnsig --help; keygen: keygen "
+                "--export-shared at perfbench's CLI_PARAMS; sign and verify: a 1 KiB message; "
+                "params: --n 43 --p 257; attack: --n 4 --p 31",
+        "units": UNITS,
+        "stages": stage_rows(dirs, run_cli, "cli"),
     }
 
 
