@@ -2,15 +2,24 @@
 recurrent network, plus the bias-synchronization protocol, hardness
 estimators, and measurement helpers.
 
-Submodules load on first use (PEP 562): ``import nnsig`` is cheap, and
-``nnsig.sign`` or ``nnsig.sync`` imports its home module when first read.
+Submodules load on first use (PEP 562): ``import nnsig`` runs no submodule
+code, and ``nnsig.sign`` or ``nnsig.sync`` imports its home module when first
+read.
 """
 
 import importlib
+import importlib.util
+import sys
 
-# Eager only because perfbench/tracing.py's Tracer.install() reads
-# sys.modules["nnsig.hardness"] before anything else has asked for it.
-from . import hardness
+# perfbench/tracing.py's Tracer.install() reads sys.modules["nnsig.hardness"]
+# before anything else has asked for it, so the module is registered there now
+# and runs on its first attribute read.  No nnsig code reads it from two
+# threads before then: Python 3.10 and 3.11 do not lock a lazy first load.
+_spec = importlib.util.find_spec(f"{__name__}.hardness")
+_spec.loader = importlib.util.LazyLoader(_spec.loader)
+hardness = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(hardness)
+del _spec
 
 __version__ = "0.1.0"
 

@@ -33,7 +33,7 @@ from .errors import (
     MalformedFrame,
     ParameterError,
 )
-from .field import Field, system_rng
+from .field import Field, _sub_rng, system_rng
 
 EXIT_OK = 0
 EXIT_PARAMS = 1
@@ -67,11 +67,7 @@ def _master_seed(args) -> Optional[bytes]:
 
 
 def _rng_for(master: Optional[bytes], tag: bytes):
-    if master is None:
-        return system_rng()
-    from .network import _sub_rng
-
-    return _sub_rng(master, tag)
+    return system_rng() if master is None else _sub_rng(master, tag)
 
 
 def _net_seed(master: Optional[bytes]) -> bytes:
@@ -159,7 +155,7 @@ def cmd_sign(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .scheme import decode_theta, parse_public_key, parse_signature, verify
+    from ._public import decode_theta, parse_public_key, parse_signature, verify
 
     pk = parse_public_key(_read_file(args.pk))
     theta = decode_theta(pk.field, _read_file(args.theta))
@@ -246,7 +242,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     named = next((word for word in argv if word in COMMANDS), None)
     for name, (text, _, arguments) in COMMANDS.items():
-        sp = sub.add_parser(name, help=text)
+        sp = sub.add_parser(name, help=text, add_help=named in (None, name))
         if named in (None, name):
             for flag, keywords in (*arguments, *_COMMON):
                 sp.add_argument(flag, **keywords)

@@ -11,8 +11,9 @@ through :func:`tally`, which adds it to the counter that :func:`count_ops`
 installed on the calling thread, if any.
 
 Also home to :func:`system_rng`, the draw of every caller not given an rng,
-and to :class:`Value` and :class:`FrozenValue`, the base of the package's
-value classes that validate, memoise or mutate; the plain records are
+to ``_sub_rng``, the draw of the network's and the CLI's seeds, and to
+:class:`Value` and :class:`FrozenValue`, the base of the package's value
+classes that validate, memoise or mutate; the plain records are
 ``typing.NamedTuple``s.  The two are cheap to import and to build, a cost
 that every ``python -m nnsig`` child pays before it does any work.
 """
@@ -216,3 +217,12 @@ def system_rng():
     import secrets
 
     return secrets.SystemRandom()
+
+
+def _sub_rng(seed: bytes, tag: bytes):
+    """A Mersenne Twister seeded from ``sha256(seed + b":" + tag)``."""
+    import hashlib
+    import random
+
+    digest = hashlib.sha256(seed + b":" + tag).digest()
+    return random.Random(int.from_bytes(digest, "big"))

@@ -28,7 +28,7 @@ of ``mat_pow``), the matrix of :func:`scaled_chain` (the weights of
 of its own reduced output (the squares and multiplies inside a table, the
 steps of ``scaled_chain``) go through the unchecked :func:`_product` and
 never through the public ``mat_mul``; the slot layout is known to this
-module only.
+module and ``_packed`` only.
 
 Also home to the fixed-width little-endian codecs shared by key files,
 signature files and wire frames: a matrix is ``u32 rows | u32 cols | entries``
@@ -41,50 +41,31 @@ the theta file, a version byte) and its fixed header fields, checked and
 unpacked by :func:`read_header`, and ends where :func:`expect_end` says; a
 modulus read from a file becomes a :class:`Field` through
 :func:`field_from_wire`.
+
+The names live in two modules.  ``_packed`` holds what the per-message code
+runs: ``MatrixZp`` and its range check, the integer codec and ``split_rows``,
+the slot rule (``_width_for``, ``_slot_width``, ``_pack``, ``_slots``,
+``_unpack``), ``PackedMatVec``, ``mat_vec``, ``vec_mat``, ``vec_add``,
+``vec_sub`` and the file codecs.  This module imports them all, so each is
+read here too, and holds the set-up kernels, ``PermutationMatrix`` and the
+constructors, which a ``verify`` child, importing ``_packed`` alone, skips.
 """
 
 from __future__ import annotations
 
 import operator
-import struct
 from itertools import chain
-from typing import NamedTuple, Optional, Tuple
+from typing import Tuple
 
-from .errors import (
-    DimensionMismatch,
-    MalformedEncoding,
-    ParameterError,
-    SingularMatrixError,
-    UnsupportedVersion,
-)
+from .errors import DimensionMismatch, ParameterError, SingularMatrixError
 from .field import Field, FrozenValue, tally
-
-# Decoders refuse dimensions above this (allocation guard, not a math limit).
-MAX_DECODE_DIM = 1 << 20
-
-_DIMS = struct.Struct("<II")
-_LEN = struct.Struct("<I")
-_NO_FIELDS = struct.Struct("<")
-
-
-class MatrixZp(NamedTuple):
-    """Immutable dense matrix over a prime field; every entry lies in [0, p).
-
-    The constructor does not reduce or check entries (``from_rows`` does);
-    ``mat_mul``, ``mat_inv``, ``det``, ``SquaringTable`` and ``mat_pow``
-    refuse a matrix that breaks the range.
-    """
-
-    field: Field
-    rows: tuple
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+# Every name of the per-message half, which lives in _packed (see above), is read here too.
+from ._packed import (  # noqa: F401
+    MAX_DECODE_DIM, MatrixZp, PackedMatVec, _check_entries, _check_shape, _pack, _slot_width,
+    _slots, _unpack, _width_for, decode_matrix, decode_uints, decode_vector, encode_elements,
+    encode_matrix, encode_uints, encode_vector, expect_end, field_from_wire, mat_vec,
+    read_elements, read_header, read_matrix, read_vector, split_rows, vec_add, vec_mat, vec_sub,
+)
 
 
 def from_rows(field: Field, rows) -> MatrixZp:
@@ -131,74 +112,6 @@ def random_invertible(field: Field, n: int, rng) -> MatrixZp:
 def _same_field(a: MatrixZp, b: MatrixZp) -> None:
     if a.field.p != b.field.p:
         raise DimensionMismatch("operands live in different fields")
-
-
-def _check_shape(rows) -> None:
-    """Refuse rows of different lengths, or of length 0."""
-    if rows and (not rows[0] or any(len(row) != len(rows[0]) for row in rows)):
-        raise DimensionMismatch("ragged or empty rows")
-
-
-def _check_entries(a: MatrixZp) -> None:
-    """Refuse a ragged shape, and entries outside [0, p): they would borrow
-    or carry across slots."""
-    _check_shape(a.rows)
-    if a.rows and (min(map(min, a.rows)) < 0 or max(map(max, a.rows)) >= a.field.p):
-        raise ParameterError(f"matrix entries must lie in [0, {a.field.p})")
-
-
-# struct codes of the widths encoded and decoded in one C call; any other
-# width goes through one int.from_bytes/to_bytes per entry.
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def encode_uints(values, width: int) -> bytes:
-    """A sequence of non-negative ints, ``width`` little-endian bytes each, back to back."""
-    code = _STRUCT_CODES.get(width)
-    if code:
-        return struct.pack(f"<{len(values)}{code}", *values)
-    return b"".join([x.to_bytes(width, "little") for x in values])
-
-
-def decode_uints(buf, width: int) -> tuple:
-    """The ``width``-byte little-endian ints that ``buf`` holds back to back."""
-    code = _STRUCT_CODES.get(width)
-    if code:
-        return struct.unpack(f"<{len(buf) // width}{code}", buf)
-    return tuple([int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)])
-
-
-def split_rows(flat, n_rows: int, n_cols: int) -> tuple:
-    """Row-major entries as a tuple of ``n_rows`` row tuples."""
-    flat = tuple(flat)
-    return tuple([flat[i * n_cols : (i + 1) * n_cols] for i in range(n_rows)])
-
-
-def _width_for(bound: int) -> int:
-    """Bytes per slot for values up to ``bound``, rounded up to a struct width where one fits."""
-    need = (bound.bit_length() + 7) // 8
-    return next((width for width in _STRUCT_CODES if width >= need), need)
-
-
-def _slot_width(p: int, terms: int) -> int:
-    """Bytes per slot for a sum of ``terms`` products of two entries plus one entry."""
-    return _width_for(terms * (p - 1) ** 2 + p)
-
-
-def _pack(values, width: int) -> int:
-    """Entries as one int, ``width`` bytes per slot, the first in the lowest slot."""
-    return int.from_bytes(encode_uints(values, width), "little")
-
-
-def _slots(values, count: int, width: int) -> tuple:
-    """The ``count`` slots of each packed int in ``values``, back to back and
-    unreduced: one ``encode_uints`` and one ``decode_uints`` call for the lot."""
-    return decode_uints(encode_uints(values, count * width), width)
-
-
-def _unpack(value: int, count: int, width: int, p: int) -> tuple:
-    """The ``count`` slots of a packed int, each reduced mod p."""
-    return tuple([x % p for x in _slots((value,), count, width)])
 
 
 def _product(rows, packed, cols: int, width: int, p: int, scale=None) -> tuple:
@@ -430,82 +343,6 @@ def det(a: MatrixZp) -> int:
     return d
 
 
-class PackedMatVec:
-    """``A·v`` for one fixed matrix A and many vectors v: A is range-checked
-    and its columns packed once, here, so a product is one multiply-add per
-    column.  v is reduced first, so any int vector gives what ``mat_vec``
-    gives, and each call tallies what ``mat_vec`` tallies.  An addend packed
-    by :meth:`pack` joins the sum before its one reduction: the slot bound
-    leaves room for one entry in ``[0, p)``."""
-
-    def __init__(self, a: MatrixZp) -> None:
-        _check_entries(a)
-        self.matrix = a
-        self._width = _slot_width(a.field.p, a.n_cols)
-        self._cols = tuple([_pack(col, self._width) for col in zip(*a.rows)])
-
-    def pack(self, u) -> int:
-        """A vector of ``n_rows`` entries in ``[0, p)`` as an addend of :meth:`__call__`."""
-        a = self.matrix
-        if len(u) != a.n_rows:
-            raise DimensionMismatch(f"addend of length {len(u)} for {a.n_rows} rows")
-        if min(u) < 0 or max(u) >= a.field.p:  # would borrow or carry across slots
-            raise ParameterError(f"addend entries must lie in [0, {a.field.p})")
-        return _pack(u, self._width)
-
-    def __call__(self, v, first: int = 0, addend: Optional[int] = None) -> tuple:
-        """Rows ``first..`` of ``A·v``, as ``mat_vec`` gives them for those rows
-        of A; with ``addend``, rows ``first..`` of ``A·v + u`` for the ``u`` it packs,
-        as ``vec_add`` gives them and tallies."""
-        a = self.matrix
-        if a.n_cols != len(v):
-            raise DimensionMismatch(f"{a.n_rows}x{a.n_cols} matrix times length-{len(v)} vector")
-        p, count = a.field.p, a.n_rows - first
-        total = sum(map(operator.mul, [x % p for x in v], self._cols))
-        adds = count * (a.n_cols - 1)
-        if addend is not None:
-            total += addend
-            adds += count
-        tally(muls=count * a.n_cols, adds=adds)
-        return _unpack(total >> 8 * self._width * first, count, self._width, p)
-
-
-def mat_vec(a: MatrixZp, v) -> tuple:
-    """Column-vector product A*v."""
-    if a.n_cols != len(v):
-        raise DimensionMismatch(f"{a.n_rows}x{a.n_cols} matrix times length-{len(v)} vector")
-    p = a.field.p
-    out = tuple(sum(x * y for x, y in zip(row, v)) % p for row in a.rows)
-    tally(muls=a.n_rows * a.n_cols, adds=a.n_rows * (a.n_cols - 1))
-    return out
-
-
-def vec_mat(v, a: MatrixZp) -> tuple:
-    """Row-vector product v*A."""
-    if a.n_rows != len(v):
-        raise DimensionMismatch(f"length-{len(v)} vector times {a.n_rows}x{a.n_cols} matrix")
-    p = a.field.p
-    out = tuple(sum(x * y for x, y in zip(v, col)) % p for col in zip(*a.rows))
-    tally(muls=a.n_rows * a.n_cols, adds=a.n_cols * (a.n_rows - 1))
-    return out
-
-
-def vec_add(field: Field, u, v) -> tuple:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector addition needs equal lengths")
-    p = field.p
-    tally(adds=len(u))
-    return tuple((x + y) % p for x, y in zip(u, v))
-
-
-def vec_sub(field: Field, u, v) -> tuple:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector subtraction needs equal lengths")
-    p = field.p
-    tally(subs=len(u))
-    return tuple((x - y) % p for x, y in zip(u, v))
-
-
 class PermutationMatrix(FrozenValue):
     """Row permutation stored as an index array: applying it maps v[i] <- v[perm[i]]."""
 
@@ -549,101 +386,3 @@ class PermutationMatrix(FrozenValue):
         if a.n_rows != self.n:
             raise DimensionMismatch("permutation size does not match row count")
         return MatrixZp(a.field, tuple(a.rows[t] for t in self.perm))
-
-
-# --- fixed-width little-endian codecs ---------------------------------------
-
-
-def field_from_wire(p: int) -> Field:
-    """The field of a modulus read from a file or frame; a bad one is an encoding error."""
-    try:
-        return Field(p)
-    except ParameterError as exc:
-        raise MalformedEncoding(f"bad modulus in file: {exc}") from exc
-
-
-def read_header(data: bytes, magic: bytes, version: Optional[int], kind: str,
-                fields: struct.Struct = _NO_FIELDS) -> Tuple[tuple, int]:
-    """Check a file's magic and version byte, then unpack its fixed ``fields``.
-
-    Returns (fields, offset after them); ``version=None`` means the format has
-    no version byte.  The version is checked first: another version's header
-    may have another length.
-    """
-    start = len(magic) + (version is not None)
-    if data[: len(magic)] != magic:
-        raise MalformedEncoding(f"bad {kind} magic {data[:len(magic)]!r}")
-    if version is not None and len(data) > len(magic) and data[len(magic)] != version:
-        raise UnsupportedVersion(f"{kind} format version {data[len(magic)]} not supported")
-    if len(data) < start + fields.size:
-        raise MalformedEncoding(f"{kind} file truncated in header")
-    return fields.unpack_from(data, start), start + fields.size
-
-
-def expect_end(data: bytes, offset: int, what: str) -> None:
-    """Refuse any bytes after the last field of a file or payload."""
-    if offset != len(data):
-        raise MalformedEncoding(f"trailing bytes after {what}")
-
-
-def encode_elements(field: Field, values) -> bytes:
-    """Field elements back to back, ``field.element_size`` bytes each."""
-    return encode_uints(values, field.element_size)
-
-
-def read_elements(field: Field, buf: bytes, offset: int, count: int, what: str):
-    """Decode count elements at offset; returns (tuple, next_offset).
-
-    The length is checked before anything is decoded, and any entry >= p is
-    rejected.
-    """
-    size = field.element_size
-    end = offset + count * size
-    if len(buf) < end:
-        raise MalformedEncoding(f"truncated {what} payload")
-    out = decode_uints(buf[offset:end], size)
-    if out and max(out) >= field.p:
-        raise MalformedEncoding(f"{what} entry {max(out)} out of range for p={field.p}")
-    return out, end
-
-
-def encode_vector(field: Field, v) -> bytes:
-    return _LEN.pack(len(v)) + encode_elements(field, v)
-
-
-def read_vector(field: Field, buf: bytes, offset: int = 0) -> tuple:
-    """Decode one vector at offset; returns (vector, next_offset)."""
-    if len(buf) < offset + _LEN.size:
-        raise MalformedEncoding("truncated vector length")
-    (length,) = _LEN.unpack_from(buf, offset)
-    if length > MAX_DECODE_DIM:
-        raise MalformedEncoding(f"vector length {length} above decode cap")
-    return read_elements(field, buf, offset + _LEN.size, length, "vector")
-
-
-def decode_vector(field: Field, buf: bytes) -> tuple:
-    v, end = read_vector(field, buf, 0)
-    expect_end(buf, end, "vector")
-    return v
-
-
-def encode_matrix(a: MatrixZp) -> bytes:
-    flat = [x for row in a.rows for x in row]
-    return _DIMS.pack(a.n_rows, a.n_cols) + encode_elements(a.field, flat)
-
-
-def read_matrix(field: Field, buf: bytes, offset: int = 0):
-    """Decode one matrix at offset; returns (matrix, next_offset)."""
-    if len(buf) < offset + _DIMS.size:
-        raise MalformedEncoding("truncated matrix header")
-    n_rows, n_cols = _DIMS.unpack_from(buf, offset)
-    if n_rows == 0 or n_cols == 0 or n_rows > MAX_DECODE_DIM or n_cols > MAX_DECODE_DIM:
-        raise MalformedEncoding(f"bad matrix dimensions {n_rows}x{n_cols}")
-    flat, end = read_elements(field, buf, offset + _DIMS.size, n_rows * n_cols, "matrix")
-    return MatrixZp(field, split_rows(flat, n_rows, n_cols)), end
-
-
-def decode_matrix(field: Field, buf: bytes) -> MatrixZp:
-    m, end = read_matrix(field, buf, 0)
-    expect_end(buf, end, "matrix")
-    return m

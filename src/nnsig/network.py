@@ -11,13 +11,11 @@ inverts.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
 from typing import NamedTuple, Tuple
 
 from .errors import DimensionMismatch, ParameterError, SingularWeightsError
-from .field import Field, FrozenValue, tally
+from .field import Field, FrozenValue, _sub_rng, tally
 from .matrix import MatrixZp, det, mat_inv, mat_vec, scaled_chain, vec_add, vec_sub
 
 # How many fresh draws sample_weights makes before giving up on a nonsingular
@@ -106,11 +104,6 @@ def sample_weights(n: int, field: Field, rng) -> SynapticWeights:
         except SingularWeightsError as exc:
             last = exc
     raise SingularWeightsError(f"no invertible binarization in {WEIGHT_RETRY_CAP} draws") from last
-
-
-def _sub_rng(seed: bytes, tag: bytes) -> random.Random:
-    digest = hashlib.sha256(seed + b":" + tag).digest()
-    return random.Random(int.from_bytes(digest, "big"))
 
 
 def generate_attention(config: NetworkConfig, initial_state) -> AttentionSchedule:

@@ -4,6 +4,7 @@ CLI subcommand, and that the lazily loaded package exposes the same API."""
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import random
@@ -80,22 +81,6 @@ def _child(tmp_path, *args, no_dns=False):
     return result["code"], set(result["modules"])
 
 
-def _static_closure(roots):
-    """Submodules that importing ``roots`` loads, from their top-level
-    ``from .x import`` / ``from . import x`` statements."""
-    seen, todo = set(), list(roots)
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
-        for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                todo.extend([node.module] if node.module else [a.name for a in node.names])
-    return seen
-
-
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """A key pair, a theta and a signature on disk, made in this process."""
@@ -112,12 +97,13 @@ def files(tmp_path_factory):
     return root
 
 
-def test_import_loads_only_errors_and_hardness(tmp_path):
+def test_import_runs_no_submodule_code(tmp_path):
+    """hardness is registered for the benchmark's tracer but runs only when
+    first read, so not even errors, which it imports, is loaded."""
     _, bare = _child(tmp_path, "bare")
     code, modules = _child(tmp_path, "import")
     assert code == 0
-    loaded = {m for m in modules if m.startswith("nnsig.")}
-    assert loaded == {f"nnsig.{m}" for m in _static_closure(["errors", "hardness"])}
+    assert {m for m in modules if m.startswith("nnsig.")} == {"nnsig.hardness"}
     assert not {"socket", "json", "secrets", "argparse"} & (modules - bare)
     assert not HEAVY & modules
 
@@ -144,12 +130,14 @@ def test_sign_and_verify_skip_sync_metrics_and_socket(files, command):
     }[command]
     code, modules = _child(files, *args)
     assert code == 0
-    assert "nnsig.scheme" in modules
     # The sign and keygen children are seeded and verify draws nothing: none
     # needs the CSPRNG, and none loads another subcommand's handler.
     assert not {"nnsig.sync", "nnsig.metrics", "socket", "secrets", *HANDLERS, *HEAVY} & modules
-    # Verify builds no key from secret parts, so it never loads the network.
-    assert ("nnsig.network" in modules) == (command != "verify")
+    # Verify builds no key from secret parts and runs no set-up kernel: it
+    # loads the public half of scheme and the per-message half of matrix.
+    setup_path = {"nnsig.matrix", "nnsig.scheme", "nnsig.network"}
+    assert setup_path & modules == (set() if command == "verify" else setup_path)
+    assert {"nnsig._public", "nnsig._packed"} <= modules
 
 
 @pytest.mark.parametrize("args", [
@@ -161,7 +149,9 @@ def test_params_and_attack_skip_scheme_and_sync(tmp_path, args):
     code, modules = _child(tmp_path, *args)
     assert code == 0
     assert "nnsig.hardness" in modules
-    assert not {"nnsig.scheme", "nnsig.sync", "nnsig._cli_sync", *HEAVY} & modules
+    # A seeded attack draws through field._sub_rng, so no child loads network.
+    assert not {"nnsig.scheme", "nnsig.sync", "nnsig.network", "nnsig._cli_sync",
+                *HEAVY} & modules
 
 
 def test_unresolvable_host_still_exits_connect(files):
@@ -236,3 +226,26 @@ def test_theta_codec_is_shared_with_sync():
 
     for name in ("THETA_MAGIC", "encode_theta", "decode_theta"):
         assert getattr(nnsig.sync, name) is getattr(nnsig.scheme, name)
+
+
+def test_traced_names_resolve_on_their_modules():
+    """Every (module, attribute) that perfbench's tracer patches resolves on
+    nnsig.<module>, a method through its class, and a function is the object
+    its home module holds, so one wrapper replaces each binding of it."""
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "TRACED")
+    missing = []
+    for module_name, attrs in traced.items():
+        module = importlib.import_module(f"nnsig.{module_name}")
+        for attr in attrs:
+            if "." in attr:  # a method, patched on its class
+                cls_name, meth = attr.split(".")
+                ok = meth in vars(getattr(module, cls_name, object))
+            else:
+                fn = getattr(module, attr, None)
+                ok = fn is not None and getattr(sys.modules[fn.__module__], fn.__name__) is fn
+            if not ok:
+                missing.append(f"{module_name}.{attr}")
+    assert traced and not missing

@@ -106,7 +106,7 @@ def test_first_squeeze_rarely_falls_short(f257, monkeypatch):
             squeezes[-1] += 1
             return self._xof.digest(length)
 
-    monkeypatch.setattr("nnsig.scheme.hashlib", types.SimpleNamespace(shake_128=CountingShake))
+    monkeypatch.setattr("nnsig._public.hashlib", types.SimpleNamespace(shake_128=CountingShake))
     for i in range(3000):
         squeezes.append(0)
         hash_to_field(b"message %d" % i, 43, f257)
@@ -526,7 +526,7 @@ def test_rotating_thetas_packs_each_key_once(monkeypatch):
             packed.append(a)
             super().__init__(a)
 
-    monkeypatch.setattr("nnsig.scheme.PackedMatVec", Counted)
+    monkeypatch.setattr("nnsig._public.PackedMatVec", Counted)
     pk, sk = _keypair(n=9)
     thetas = [_theta(pk.field, 9, seed) for seed in range(4)]
     rng = random.Random(4)
