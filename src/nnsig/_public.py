@@ -1,7 +1,6 @@
-"""The public half of :mod:`nnsig.scheme`, the part a ``verify`` child runs.
-
-``scheme`` imports every name here; its docstring lists them and describes
-the scheme and the file formats.
+"""The public half of :mod:`nnsig.scheme`: what a ``verify`` child and
+``nnsig.verify`` load.  ``scheme`` imports every name here; its docstring
+lists them and describes the scheme and the file formats.
 """
 
 from __future__ import annotations
@@ -78,8 +77,7 @@ def _check_split(n: int, l: int) -> None:
 class PublicKey(FrozenValue):
     """The public map, checked when built (``1 <= l < n``; both matrices n x n
     over ``field``).  ``Wbar_theta`` and rows ``_first..`` of ``Wbar_x``, the
-    rows verification reads, are packed once; ``_bias`` memoises ``_bias_entry``
-    and ``_packed_bias``."""
+    rows verification reads, are packed once; ``_bias`` memoises ``_bias_entry``."""
 
     _fields = ("field", "n", "l", "w_x_bar", "w_theta_bar")
     _bias = None
@@ -99,8 +97,8 @@ class PublicKey(FrozenValue):
         return self._bias_entry(theta)[1]
 
     def _bias_entry(self, theta) -> tuple:
-        """``(theta, bias)`` for the last theta, or ``(theta, bias, packed)``
-        once ``_packed_bias`` has packed the bias rows of ``_tail`` in its slots.
+        """``(theta, bias, packed)`` for the last theta: ``packed`` holds the
+        bias rows of ``_tail`` in its slots, the addend of ``verify``'s products.
 
         The memo is that one tuple, replaced whole, so a race between threads
         costs a recomputation and never pairs a theta with another's bias.
@@ -113,17 +111,10 @@ class PublicKey(FrozenValue):
             return memo
         if len(key) != self.n:
             raise DimensionMismatch(f"theta has length {len(key)}, expected {self.n}")
-        memo = (key, self._theta_product(key))
+        bias = self._theta_product(key)
+        memo = (key, bias, self._tail.pack(bias[self._first:]))
         object.__setattr__(self, "_bias", memo)
         return memo
-
-    def _packed_bias(self, theta) -> int:
-        """The addend of ``verify``'s products, packed the first time it is read."""
-        memo = self._bias_entry(theta)
-        if len(memo) == 2:
-            memo += (self._tail.pack(memo[1][self._first:]),)
-            object.__setattr__(self, "_bias", memo)
-        return memo[2]
 
 
 class Signature(NamedTuple):
@@ -159,7 +150,7 @@ def verify(
             pk._tail(vec_sub(field, sigma, bias), n - len(half) - first) == half
             for sigma, half in ((signature.sigma0, h[:l]), (signature.sigma1, h[l:]))
         )
-    packed = pk._packed_bias(theta)
+    packed = pk._bias_entry(theta)[2]
     if pk._tail(signature.sigma0, n - l - first, packed) != h[:l]:
         return False
     return pk._tail(signature.sigma1, l - first, packed) == h[l:]

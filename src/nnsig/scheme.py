@@ -8,14 +8,13 @@ back through ``Wbar_x^{-1} = w_x^{-a} @ L_x^{-1}``, inverted once per key;
 verification pushes the signature through only the rows of the public map
 that hold the digest tails and compares them.  The public key packs
 (``matrix.PackedMatVec``) ``Wbar_theta`` and the rows of ``Wbar_x`` that
-verification reads once, when it is built, and keeps the bias
-``Wbar_theta @ theta`` of the last theta either side asked it for, so a new
-theta costs one packed product; the signer reads its bias through its own
-public key.  The first verification under a theta adds the bias's tail rows,
-packed in the slots of the ``Wbar_x`` tail product, to that memo entry, so
-each verification half is one packed pass: products and bias are summed in
-one big int, unpacked and reduced once.  These attributes stay out of ``==``
-and ``repr``.
+verification reads once, when it is built, and keeps one memo entry for the
+last theta either side asked it for: the bias ``Wbar_theta @ theta`` and its
+tail rows packed in the slots of the ``Wbar_x`` tail product, so a new theta
+costs one packed product and one pack; the signer reads its bias through its
+own public key.  Each verification half is then one packed pass: products
+and bias are summed in one big int, unpacked and reduced once.  These
+attributes stay out of ``==`` and ``repr``.
 
 Verification adds the bias term after applying the public map — the variant
 that subtracts it first (kept behind ``literal_form=True``) does not invert
@@ -46,16 +45,15 @@ The names live in two modules.  ``_public`` holds what a verifier runs:
 public-key, signature and theta codecs with their magics and headers.  This
 module imports each of them, so every name is read here as well, and holds
 ``SecretKey``, ``derive_keypair``, ``keygen``, ``sign`` and the secret-key
-and shared-setup codecs.  A ``verify`` child imports ``_public``, which needs
-only the per-message half of ``matrix``, and so compiles neither the
-secret-key code nor the set-up kernels.
+and shared-setup codecs.  ``verify``, in a child or as ``nnsig.verify``,
+loads ``_public`` alone, so neither ``network`` nor the set-up kernels.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import DimensionMismatch, MalformedEncoding, ParameterError
 from .field import Field, Value, system_rng
@@ -64,14 +62,12 @@ from .matrix import (
     encode_vector, expect_end, field_from_wire, mat_inv, mat_pow, mat_vec, read_elements,
     read_header, read_matrix, read_vector, split_rows, vec_sub,
 )
-# The public half lives in _public (see above); every name of it is read here too.
+from .network import AttentionSchedule, NetworkConfig, SynapticWeights, build_network, unroll
 from ._public import (  # noqa: F401
     FORMAT_VERSION, PK_MAGIC, SIG_MAGIC, THETA_MAGIC, PublicKey, Signature, _check_split,
     decode_theta, encode_theta, hash_to_field, parse_public_key, parse_signature,
     serialize_public_key, serialize_signature, verify,
 )
-if TYPE_CHECKING:  # a verify child never loads network; the functions that need it import it
-    from .network import AttentionSchedule, NetworkConfig, SynapticWeights
 
 SK_MAGIC = b"NNSIGSK1"
 SETUP_MAGIC = b"NNSIGSH1"
@@ -113,8 +109,6 @@ class SecretKey(Value):
                           weights=weights, schedule=schedule)
 
     def unrolled_maps(self):
-        from .network import unroll
-
         return unroll(self.weights, self.schedule)
 
     def public_key(self) -> PublicKey:
@@ -169,8 +163,6 @@ def keygen(
     """
     if config.field.p < 5:
         raise ParameterError("keygen needs p >= 5 so the exponent range [2, p-2] is nonempty")
-    from .network import build_network
-
     rng = rng or system_rng()
     weights, schedule = build_network(config)
     p = config.field.p
@@ -232,8 +224,6 @@ def serialize_secret_key(sk: SecretKey) -> bytes:
 
 def parse_secret_key(data: bytes) -> SecretKey:
     """Decode a secret-key file; ``SecretKey`` checks what the bytes hold."""
-    from .network import AttentionSchedule, SynapticWeights
-
     (p, n, l, rho, a, b), off = read_header(
         data, SK_MAGIC, FORMAT_VERSION, "secret-key", _SK_HEADER
     )
@@ -275,8 +265,6 @@ def encode_shared_setup(weights: SynapticWeights, q: tuple) -> bytes:
 
 
 def decode_shared_setup(data: bytes) -> Tuple[SynapticWeights, tuple]:
-    from .network import SynapticWeights
-
     (p, n), off = read_header(data, SETUP_MAGIC, SETUP_VERSION, "shared-setup", _SETUP_HEADER)
     field = field_from_wire(p)
     w, off = read_matrix(field, data, off)

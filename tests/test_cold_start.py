@@ -81,6 +81,41 @@ def _child(tmp_path, *args, no_dns=False):
     return result["code"], set(result["modules"])
 
 
+# Runs in a fresh interpreter: 8 threads behind a barrier make the first read
+# of hardness at once, through the module or through a name the package routes
+# there, with a short switch interval so they interleave often; the errors
+# they raise, and any thread still running after its join, print as JSON.
+RACE = """
+import json, sys, threading
+import nnsig
+read = {"module": lambda: nnsig.hardness.classical_security_bits(26, 257),
+        "name": lambda: nnsig.estimate(26, 257, 80)}[sys.argv[1]]
+sys.setswitchinterval(1e-5)
+barrier, errors = threading.Barrier(8, timeout=20), []
+def run():
+    barrier.wait()
+    try:
+        read()
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=run, daemon=True) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(20)
+errors += ["still running"] * sum(thread.is_alive() for thread in threads)
+print(json.dumps(errors))
+"""
+
+
+def _fresh(code, *args):
+    """The JSON a fresh interpreter running ``code`` prints."""
+    run = subprocess.run([sys.executable, "-c", code, *args],
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                         check=True, capture_output=True, text=True, timeout=60)
+    return json.loads(run.stdout)
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """A key pair, a theta and a signature on disk, made in this process."""
@@ -182,6 +217,26 @@ def test_bench_skips_heavy_modules(tmp_path, args):
     assert code == 0
     assert "nnsig.metrics" in modules
     assert not HEAVY & modules
+
+
+@pytest.mark.parametrize("path", ["module", "name"])
+def test_first_read_of_hardness_is_safe_under_threads(path):
+    """No thread sees hardness half run: the first read runs it under a lock."""
+    assert [_fresh(RACE, path) for _ in range(5)] == [[]] * 5
+
+
+def test_verify_path_names_load_only_the_verify_path():
+    """Each name is read from the module that defines it, so the names a
+    verifier uses load _public and _packed and none of the set-up modules."""
+    modules = set(_fresh(
+        "import json, sys, nnsig\n"
+        "for name in sys.argv[1:]:\n"
+        "    getattr(nnsig, name)\n"
+        "print(json.dumps(sorted(sys.modules)))\n",
+        "verify", "parse_public_key", "parse_signature", "hash_to_field", "PublicKey",
+        "Signature", "MatrixZp"))
+    assert {"nnsig._public", "nnsig._packed"} <= modules
+    assert not {"nnsig.matrix", "nnsig.scheme", "nnsig.network"} & modules
 
 
 def test_every_name_resolves_to_its_home_object():

@@ -46,7 +46,7 @@ from nnsig.scheme import (
     sign,
     verify,
 )
-from nnsig.sync import SyncConfig, SyncSession
+from nnsig.sync import PublicVectorMessage, SyncConfig, SyncSession, run_pair, wire_decode
 
 
 def _keypair(p=257, n=8, rho=4, seed=b"k", rng_seed=7, l=None):
@@ -426,6 +426,32 @@ def test_forgery_from_one_signature_without_theta():
         y1 = field.sample_vector(rng, l) + vec_sub(field, target[l:], bias1)
         forged = Signature(sigma0=mat_vec(inv, y0), sigma1=mat_vec(inv, y1))
         assert verify(pk, theta, message, forged)
+
+
+def test_passive_eavesdropper_recovers_theta_and_signs():
+    # theta = P_a + P_b, and both public vectors cross the wire in clear: an
+    # eavesdropper on one sync reads theta off the transcript, and with the
+    # public key alone (the signing matrix is mat_inv(W̄_x)) signs anything.
+    pk, sk = _keypair(p=257, n=26, rho=10, seed=b"eavesdrop", rng_seed=21)
+    field, n, l = pk.field, pk.n, pk.l
+    config = SyncConfig(weights=sk.weights, q=_theta(field, n, seed=22))
+    a = SyncSession.create(config, random.Random(23))
+    b = SyncSession.create(config, random.Random(24))
+    theta_a, theta_b = run_pair(a, b)
+    shares = [wire_decode(frame, field) for _, frame in a.transcript[2:]]
+    assert all(isinstance(share, PublicVectorMessage) for share in shares)
+    theta = vec_add(field, shares[0].vector, shares[1].vector)
+    assert theta == theta_a == theta_b
+
+    inv, bias = mat_inv(pk.w_x_bar), pk.theta_bias(theta)
+    message = b"never signed by the key owner"
+    h = hash_to_field(message, n, field)
+    rng = random.Random(25)
+    x0 = field.sample_vector(rng, n - l) + h[:l]
+    x1 = field.sample_vector(rng, l) + h[l:]
+    forged = Signature(sigma0=mat_vec(inv, vec_sub(field, x0, bias)),
+                       sigma1=mat_vec(inv, vec_sub(field, x1, bias)))
+    assert verify(pk, theta, message, forged)
 
 
 def test_random_signatures_never_accept():

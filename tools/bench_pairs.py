@@ -56,7 +56,8 @@ PAIRS = 10
 # rest, and kept among the samples it widened the quartiles.  Within a repeat,
 # one untimed sign and verify fill the keys' memos, then sign and verify are
 # timed per message over MESSAGES messages under one theta, and theta_switch
-# is the bias of a fresh theta (PublicKey.theta_bias), per theta over MESSAGES
+# is the bias of a fresh theta (PublicKey.theta_bias, which also packs verify's
+# addend where the public key packs it on a miss), per theta over MESSAGES
 # thetas.  verify_reject, timed before theta_switch moves the memo, verifies
 # the same signatures on their messages with one byte flipped: the early exit
 # after h0 that every fourth sign-verify message of perfbench takes.
@@ -416,7 +417,8 @@ def layer_table(dirs: dict) -> dict:
                 "pair: two SyncSession.create and run_pair, so the squares of W are paid in "
                 "it). sign and verify: per message, 16 messages of 1 KiB under one theta, "
                 "after one untimed sign and verify; theta_switch: the bias of a fresh theta "
-                "on the public key, per theta over 16 thetas; verify_reject: verify of the same "
+                "on the public key, with verify's packed addend where the key packs it on a "
+                "miss, per theta over 16 thetas; verify_reject: verify of the same "
                 "signatures on their messages with one byte flipped (rejected after h0); "
                 "hash_to_field: the digest of each 1 KiB message",
         "units": UNITS,
