@@ -55,8 +55,9 @@ def _check_entries(a: MatrixZp) -> None:
         raise ParameterError(f"matrix entries must lie in [0, {a.field.p})")
 
 
-# struct codes of the widths encoded and decoded in one C call; any other
-# width goes through one int.from_bytes/to_bytes per entry.
+# struct codes of the widths encoded and decoded in one C call; 16-byte slots
+# decode in one call too, any other width through one int.from_bytes/to_bytes
+# per entry.
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -73,6 +74,9 @@ def decode_uints(buf, width: int) -> tuple:
     code = _STRUCT_CODES.get(width)
     if code:
         return struct.unpack(f"<{len(buf) // width}{code}", buf)
+    if width == 16:  # the product slots at p = 2^61 - 1: two Qs per slot
+        halves = struct.unpack(f"<{len(buf) // 16 * 2}Q", buf)
+        return tuple([lo | hi << 64 for lo, hi in zip(halves[::2], halves[1::2])])
     return tuple([int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)])
 
 

@@ -16,6 +16,7 @@ draws from the operating system's CSPRNG.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import os
 import stat
@@ -283,4 +284,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script and ``python -m nnsig``: exit with :func:`main`'s code.
+
+    However the process leaves (a code, ``--help``, a usage error or an
+    uncaught exception), ``gc.freeze()`` first moves every live object out of
+    the collector's reach, so the interpreter's final collection does not
+    free, one cycle at a time, what the OS reclaims at exit anyway.  Under
+    ``python -X dev`` that collection runs, as it does after an in-process
+    :func:`main`: it is what reports a file leaked in a reference cycle.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        if not sys.flags.dev_mode:
+            gc.freeze()

@@ -4,6 +4,7 @@ CLI subcommand, and that the lazily loaded package exposes the same API."""
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import json
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import nnsig
+from nnsig import cli
 from nnsig.field import Field
 from nnsig.network import NetworkConfig
 from nnsig.scheme import encode_theta, keygen, serialize_public_key, serialize_secret_key
@@ -79,6 +81,33 @@ def _child(tmp_path, *args, no_dns=False):
                    check=True, timeout=60, capture_output=True)
     result = json.loads(out.read_text())
     return result["code"], set(result["modules"])
+
+
+# Runs ``python -m nnsig ARGS`` in a fresh interpreter, as CHILD does, with an
+# atexit handler, which runs after entry() has left and before the
+# interpreter's teardown: it writes the number of objects gc.freeze() has moved
+# out of the final collection's reach.
+EXIT_PROBE = """
+import atexit, gc, runpy, sys
+out, args = sys.argv[1], sys.argv[2:]
+def probe():
+    with open(out, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+atexit.register(probe)
+sys.argv = ["nnsig", *args]
+runpy.run_module("nnsig", run_name="__main__", alter_sys=True)
+"""
+
+
+def _frozen_at_exit(cwd, *args, dev=False):
+    """The exit code of a fresh ``python [-X dev] -m nnsig ARGS`` and the
+    freeze count its atexit handlers saw."""
+    out = cwd / "frozen.txt"
+    flags = ["-X", "dev"] if dev else []
+    run = subprocess.run([sys.executable, *flags, "-c", EXIT_PROBE, str(out), *args], cwd=cwd,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                         capture_output=True, timeout=60)
+    return run.returncode, int(out.read_text())
 
 
 # Runs in a fresh interpreter: 8 threads behind a barrier make the first read
@@ -150,6 +179,33 @@ def test_import_help_and_params_skip_the_matrix_module(tmp_path, args):
     assert code == 0
     assert "nnsig.hardness" in modules
     assert "nnsig.matrix" not in modules
+
+
+VERIFY = ["verify", "--pk", "k.pk", "--theta", "t.theta", "--in", "m.txt", "--sig", "m.sig"]
+
+
+@pytest.mark.parametrize("args, code", [
+    (VERIFY, 0),
+    (["verify", "--pk", "k.pk", "--theta", "t.theta", "--in", "k.pk", "--sig", "m.sig"], 5),
+    (["sign"], 2),
+    (["--help"], 0),
+], ids=["accepted", "rejected", "usage-error", "help"])
+def test_cli_child_exits_with_its_objects_frozen(files, args, code):
+    """entry() freezes on every way out, so the interpreter's final collection
+    does not free what the OS reclaims at exit."""
+    exit_code, frozen = _frozen_at_exit(files, *args)
+    assert exit_code == code
+    assert frozen > 0
+
+
+def test_dev_mode_and_in_process_main_keep_the_full_teardown(files):
+    """Under -X dev nothing is frozen, so the final collection still sees,
+    and reports, a file leaked in a cycle; main() freezes nothing in its
+    caller's process."""
+    assert _frozen_at_exit(files, *VERIFY, dev=True) == (0, 0)
+    assert cli.main(["verify", "--pk", str(files / "k.pk"), "--theta", str(files / "t.theta"),
+                     "--in", str(files / "m.txt"), "--sig", str(files / "m.sig")]) == 0
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("command", ["sign", "verify", "keygen"])

@@ -286,6 +286,20 @@ def test_uints_codec_matches_the_per_entry_oracle(data, width):
     assert decode_uints(encoded, width) == tuple(values)
 
 
+@pytest.mark.parametrize("width", [3, 5, 16])
+def test_decode_uints_reads_random_buffers_as_the_per_entry_path(width):
+    """Width 16, the product slots at p = 2^61 - 1, is read as pairs of
+    struct Qs; 3 and 5 have no struct code and read one slot at a time."""
+    from nnsig.matrix import decode_uints
+
+    rng = random.Random(width)
+    for count in (0, 1, 2, 26, 676):
+        buf = rng.randbytes(count * width)
+        per_entry = tuple(int.from_bytes(buf[i : i + width], "little")
+                          for i in range(0, len(buf), width))
+        assert decode_uints(buf, width) == per_entry
+
+
 def test_element_codec_roundtrip_at_a_three_byte_modulus():
     field = Field(65539)
     assert field.element_size == 3
