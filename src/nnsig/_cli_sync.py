@@ -8,7 +8,9 @@ import time
 from .cli import (EXIT_OK, _emit_json, _fingerprint, _master_seed, _read_file, _rng_for, _say,
                   _write_file)
 from .errors import ParameterError
-from .sync import SyncConfig, SyncSession, decode_shared_setup, encode_theta, run_over_socket
+from .network import decode_shared_setup
+from .sync import SyncConfig, SyncSession, run_over_socket
+from ._public import encode_theta
 
 # Upper bound on --timeout (a day): above any real wait, and far inside the
 # range socket.settimeout accepts, which raises OverflowError beyond it.

@@ -1,6 +1,7 @@
-"""The public half of :mod:`nnsig.scheme`: what a ``verify`` child and
-``nnsig.verify`` load.  ``scheme`` imports every name here; its docstring
-lists them and describes the scheme and the file formats.
+"""The public half of :mod:`nnsig.scheme`, what a ``verify`` child and
+``nnsig.verify`` load: ``hash_to_field``, ``PublicKey``, ``Signature``,
+``verify`` and the public-key, signature and theta codecs.  ``scheme``'s
+docstring describes the scheme and the file formats.
 """
 
 from __future__ import annotations

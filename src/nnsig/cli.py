@@ -98,8 +98,9 @@ def _write_file(path: str, blob: bytes, private: bool = False) -> None:
 
 
 def cmd_keygen(args) -> int:
-    from .network import NetworkConfig
-    from .scheme import encode_shared_setup, keygen, serialize_public_key, serialize_secret_key
+    from .network import NetworkConfig, encode_shared_setup
+    from .scheme import keygen, serialize_secret_key
+    from ._public import serialize_public_key
 
     master = _master_seed(args)
     field = Field(args.p)
@@ -141,7 +142,8 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_sign(args) -> int:
-    from .scheme import decode_theta, parse_secret_key, serialize_signature, sign
+    from .scheme import parse_secret_key, sign
+    from ._public import decode_theta, serialize_signature
 
     sk = parse_secret_key(_read_file(args.sk))
     theta = decode_theta(sk.field, _read_file(args.theta))

@@ -27,7 +27,8 @@ from .errors import LimitExceeded, ParameterError
 
 if TYPE_CHECKING:
     from .field import Field
-    from .matrix import MatrixZp, PermutationMatrix
+    from .matrix import PermutationMatrix
+    from ._packed import MatrixZp
 
 # Exhaustive-search guardrails: (p-1) * n! candidates stays below 750 here.
 SOLVER_N_LIMIT = 4

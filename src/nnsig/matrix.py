@@ -30,25 +30,20 @@ steps of ``scaled_chain``) go through the unchecked :func:`_product` and
 never through the public ``mat_mul``; the slot layout is known to this
 module and ``_packed`` only.
 
-Also home to the fixed-width little-endian codecs shared by key files,
-signature files and wire frames: a matrix is ``u32 rows | u32 cols | entries``
-and a vector is ``u32 len | entries``, each entry ``field.element_size`` bytes.
+This module holds the set-up kernels, ``PermutationMatrix`` and the
+constructors.  The per-message half, which a ``verify`` child imports alone,
+lives in ``_packed``: ``MatrixZp`` and its range check, the slot rule,
+``PackedMatVec``, ``mat_vec``, ``vec_mat``, ``vec_add``, ``vec_sub``, and the
+fixed-width little-endian codecs shared by key files, signature files and
+wire frames.  There a matrix is ``u32 rows | u32 cols | entries`` and a
+vector is ``u32 len | entries``, each entry ``field.element_size`` bytes.
 Every fixed-width integer run, in a format or a packed kernel, goes through
-:func:`encode_uints` and :func:`decode_uints`, every element run through
-:func:`encode_elements` and :func:`read_elements`, and rows are cut from a
-flat run by :func:`split_rows`; every file starts with a magic (and, except
-the theta file, a version byte) and its fixed header fields, checked and
-unpacked by :func:`read_header`, and ends where :func:`expect_end` says; a
-modulus read from a file becomes a :class:`Field` through
-:func:`field_from_wire`.
-
-The names live in two modules.  ``_packed`` holds what the per-message code
-runs: ``MatrixZp`` and its range check, the integer codec and ``split_rows``,
-the slot rule (``_width_for``, ``_slot_width``, ``_pack``, ``_slots``,
-``_unpack``), ``PackedMatVec``, ``mat_vec``, ``vec_mat``, ``vec_add``,
-``vec_sub`` and the file codecs.  This module imports them all, so each is
-read here too, and holds the set-up kernels, ``PermutationMatrix`` and the
-constructors, which a ``verify`` child, importing ``_packed`` alone, skips.
+``encode_uints`` and ``decode_uints``, every element run through
+``encode_elements`` and ``read_elements``, and rows are cut from a flat run
+by ``split_rows``; every file starts with a magic (and, except the theta
+file, a version byte) and its fixed header fields, checked and unpacked by
+``read_header``, and ends where ``expect_end`` says; a modulus read from a
+file becomes a ``Field`` through ``field_from_wire``.
 """
 
 from __future__ import annotations
@@ -59,12 +54,14 @@ from typing import Tuple
 
 from .errors import DimensionMismatch, ParameterError, SingularMatrixError
 from .field import Field, FrozenValue, tally
-# Every name of the per-message half, which lives in _packed (see above), is read here too.
+from ._packed import (
+    MatrixZp, _check_entries, _check_shape, _pack, _slot_width, _slots, _unpack, _width_for,
+    split_rows,
+)
+# Read here only from outside src: by tests, perfbench/tracing.py's TRACED table and CI.
 from ._packed import (  # noqa: F401
-    MAX_DECODE_DIM, MatrixZp, PackedMatVec, _check_entries, _check_shape, _pack, _slot_width,
-    _slots, _unpack, _width_for, decode_matrix, decode_uints, decode_vector, encode_elements,
-    encode_matrix, encode_uints, encode_vector, expect_end, field_from_wire, mat_vec,
-    read_elements, read_header, read_matrix, read_vector, split_rows, vec_add, vec_mat, vec_sub,
+    PackedMatVec, decode_matrix, decode_uints, decode_vector, encode_matrix, encode_uints,
+    encode_vector, mat_vec, read_matrix, read_vector, vec_add, vec_mat, vec_sub,
 )
 
 

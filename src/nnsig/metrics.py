@@ -22,15 +22,8 @@ from typing import NamedTuple, Optional
 from .errors import ParameterError
 from .field import Field, count_ops
 from .network import NetworkConfig
-from .scheme import (
-    keygen,
-    parse_public_key,
-    serialize_public_key,
-    serialize_secret_key,
-    serialize_signature,
-    sign,
-    verify,
-)
+from .scheme import keygen, serialize_secret_key, sign
+from ._public import parse_public_key, serialize_public_key, serialize_signature, verify
 
 # Published reference figures, keyed by (p, n, rho): security level, hash bits,
 # signature bits, public/secret key bytes.

@@ -7,21 +7,34 @@ step is affine mod p, running the recurrence for rho steps equals a single
 affine map ``S_rho = f(w_x @ S_0 + w_theta @ theta)`` whose factors this
 module computes exactly; that closed form is what the signature scheme
 inverts.
+
+Also home to the ``NNSIGSH1`` shared-setup codec (layout in ``scheme``'s
+format table): the base weights and public vector Q that keygen exports and
+both sync parties load, decoded into a checked ``SynapticWeights``.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from typing import NamedTuple, Tuple
 
-from .errors import DimensionMismatch, ParameterError, SingularWeightsError
+from .errors import DimensionMismatch, MalformedEncoding, ParameterError, SingularWeightsError
 from .field import Field, FrozenValue, _sub_rng, tally
-from .matrix import MatrixZp, det, mat_inv, mat_vec, scaled_chain, vec_add, vec_sub
+from .matrix import det, mat_inv, scaled_chain
+from ._packed import (
+    MatrixZp, encode_matrix, encode_vector, expect_end, field_from_wire, mat_vec, read_header,
+    read_matrix, read_vector, vec_add, vec_sub,
+)
 
 # How many fresh draws sample_weights makes before giving up on a nonsingular
 # binarization.  Singular draws are common at tiny n (half of all 2x2 sign
 # matrices), vanishing by n ~ 8, so a deep retry budget costs nothing.
 WEIGHT_RETRY_CAP = 64
+
+SETUP_MAGIC = b"NNSIGSH1"
+SETUP_VERSION = 1
+_SETUP_HEADER = struct.Struct("<QI")  # p, n: the fixed header after magic and version
 
 
 class NetworkConfig(FrozenValue):
@@ -186,3 +199,31 @@ def invert(maps: UnrolledMaps, y, theta) -> tuple:
     field = maps.w_x.field
     bias = mat_vec(maps.w_theta, theta)
     return mat_vec(mat_inv(maps.w_x), vec_sub(field, y, bias))
+
+
+# --- shared-setup codec -------------------------------------------------------
+
+
+def encode_shared_setup(weights: SynapticWeights, q: tuple) -> bytes:
+    field = weights.w.field
+    return (
+        SETUP_MAGIC
+        + bytes([SETUP_VERSION])
+        + _SETUP_HEADER.pack(field.p, weights.n)
+        + encode_matrix(weights.w)
+        + encode_vector(field, q)
+    )
+
+
+def decode_shared_setup(data: bytes) -> Tuple[SynapticWeights, tuple]:
+    (p, n), off = read_header(data, SETUP_MAGIC, SETUP_VERSION, "shared-setup", _SETUP_HEADER)
+    field = field_from_wire(p)
+    w, off = read_matrix(field, data, off)
+    q, off = read_vector(field, data, off)
+    expect_end(data, off, "shared setup")
+    if len(q) != n or w.n_rows != n or w.n_cols != n:
+        raise MalformedEncoding("shared-setup dimensions are inconsistent")
+    try:
+        return SynapticWeights(w), q
+    except ParameterError as exc:
+        raise MalformedEncoding(f"bad shared-setup base matrix: {exc}") from exc

@@ -7,7 +7,7 @@ embeds the message digest in the tail of two preimage vectors and pulls them
 back through ``Wbar_x^{-1} = w_x^{-a} @ L_x^{-1}``, inverted once per key;
 verification pushes the signature through only the rows of the public map
 that hold the digest tails and compares them.  The public key packs
-(``matrix.PackedMatVec``) ``Wbar_theta`` and the rows of ``Wbar_x`` that
+(``_packed.PackedMatVec``) ``Wbar_theta`` and the rows of ``Wbar_x`` that
 verification reads once, when it is built, and keeps one memo entry for the
 last theta either side asked it for: the bias ``Wbar_theta @ theta`` and its
 tail rows packed in the slots of the ``Wbar_x`` tail product, so a new theta
@@ -22,31 +22,23 @@ the signing equation and rejects honestly produced signatures.
 
 File formats (all little-endian, fixed element width from the field):
 
-=========  ========  =======  ==========================  ======================
-object     magic     version  fixed header                body
-=========  ========  =======  ==========================  ======================
-public     NNSIGPK1  u8       ``<QII`` p, n, l            Wbar_x | Wbar_theta
-secret     NNSIGSK1  u8       ``<6Q`` p, n, l, rho, a, b  perms | W bits | sched
-signature  NNSIGSG1  u8       ``<I`` n                    sigma0 | sigma1
-theta      NNSIGTH1  (none)   (none)                      theta vector
-shared     NNSIGSH1  u8       ``<QI`` p, n                base matrix W | Q
-=========  ========  =======  ==========================  ======================
+=========  ========  =======  ==========================  ======================  ==========
+object     magic     version  fixed header                body                    codec in
+=========  ========  =======  ==========================  ======================  ==========
+public     NNSIGPK1  u8       ``<QII`` p, n, l            Wbar_x | Wbar_theta     ``_public``
+secret     NNSIGSK1  u8       ``<6Q`` p, n, l, rho, a, b  perms | W bits | sched  this module
+signature  NNSIGSG1  u8       ``<I`` n                    sigma0 | sigma1         ``_public``
+theta      NNSIGTH1  (none)   (none)                      theta vector            ``_public``
+shared     NNSIGSH1  u8       ``<QI`` p, n                base matrix W | Q       ``network``
+=========  ========  =======  ==========================  ======================  ==========
 
 Each fixed header is one ``struct.Struct`` beside its codec, shared by the
 serializer and the parser.  The key parsers only decode; a key its class
-refuses is a ``MalformedEncoding``.  The secret file stores both
-permutations as one run of 2n u32 indices, the weight matrix as one
-little-endian integer of ``ceil(n^2 / 8)`` bytes whose bit ``r*n + c`` is
-entry (r, c) (0 -> 1, 1 -> p-1; the padding bits above bit n^2 must be
-zero), and the attention schedule as rho raw element vectors.
-
-The names live in two modules.  ``_public`` holds what a verifier runs:
-``hash_to_field``, ``PublicKey``, ``Signature``, ``verify``, and the
-public-key, signature and theta codecs with their magics and headers.  This
-module imports each of them, so every name is read here as well, and holds
-``SecretKey``, ``derive_keypair``, ``keygen``, ``sign`` and the secret-key
-and shared-setup codecs.  ``verify``, in a child or as ``nnsig.verify``,
-loads ``_public`` alone, so neither ``network`` nor the set-up kernels.
+refuses is a ``MalformedEncoding``.  The secret file stores both permutations
+as one run of 2n u32 indices, the weight matrix as one little-endian integer
+of ``ceil(n^2 / 8)`` bytes whose bit ``r*n + c`` is entry (r, c) (0 -> 1, 1
+-> p-1; the padding bits above bit n^2 must be zero), and the attention
+schedule as rho raw element vectors.
 """
 
 from __future__ import annotations
@@ -57,25 +49,21 @@ from typing import Optional, Tuple
 
 from .errors import DimensionMismatch, MalformedEncoding, ParameterError
 from .field import Field, Value, system_rng
-from .matrix import (
-    MatrixZp, PermutationMatrix, decode_uints, encode_elements, encode_matrix, encode_uints,
-    encode_vector, expect_end, field_from_wire, mat_inv, mat_pow, mat_vec, read_elements,
-    read_header, read_matrix, read_vector, split_rows, vec_sub,
-)
+from .matrix import PermutationMatrix, mat_inv, mat_pow
 from .network import AttentionSchedule, NetworkConfig, SynapticWeights, build_network, unroll
+from ._packed import (
+    MatrixZp, decode_uints, encode_elements, encode_uints, expect_end, field_from_wire, mat_vec,
+    read_elements, read_header, split_rows, vec_sub,
+)
+from ._public import FORMAT_VERSION, PublicKey, Signature, _check_split, hash_to_field
+# Read here only from outside src: by tests and by perfbench/tracing.py's TRACED table.
 from ._public import (  # noqa: F401
-    FORMAT_VERSION, PK_MAGIC, SIG_MAGIC, THETA_MAGIC, PublicKey, Signature, _check_split,
-    decode_theta, encode_theta, hash_to_field, parse_public_key, parse_signature,
+    THETA_MAGIC, decode_theta, encode_theta, parse_public_key, parse_signature,
     serialize_public_key, serialize_signature, verify,
 )
 
 SK_MAGIC = b"NNSIGSK1"
-SETUP_MAGIC = b"NNSIGSH1"
-SETUP_VERSION = 1
-
-# The fixed header fields after each file's magic and version byte.
-_SK_HEADER = struct.Struct("<6Q")  # p, n, l, rho, a, b
-_SETUP_HEADER = struct.Struct("<QI")  # p, n
+_SK_HEADER = struct.Struct("<6Q")  # p, n, l, rho, a, b: the fixed header after magic and version
 
 
 # --- key objects ------------------------------------------------------------
@@ -251,28 +239,3 @@ def parse_secret_key(data: bytes) -> SecretKey:
         )
     except (ParameterError, DimensionMismatch) as exc:
         raise MalformedEncoding(f"bad secret key: {exc}") from exc
-
-
-def encode_shared_setup(weights: SynapticWeights, q: tuple) -> bytes:
-    field = weights.w.field
-    return (
-        SETUP_MAGIC
-        + bytes([SETUP_VERSION])
-        + _SETUP_HEADER.pack(field.p, weights.n)
-        + encode_matrix(weights.w)
-        + encode_vector(field, q)
-    )
-
-
-def decode_shared_setup(data: bytes) -> Tuple[SynapticWeights, tuple]:
-    (p, n), off = read_header(data, SETUP_MAGIC, SETUP_VERSION, "shared-setup", _SETUP_HEADER)
-    field = field_from_wire(p)
-    w, off = read_matrix(field, data, off)
-    q, off = read_vector(field, data, off)
-    expect_end(data, off, "shared setup")
-    if len(q) != n or w.n_rows != n or w.n_cols != n:
-        raise MalformedEncoding("shared-setup dimensions are inconsistent")
-    try:
-        return SynapticWeights(w), q
-    except ParameterError as exc:
-        raise MalformedEncoding(f"bad shared-setup base matrix: {exc}") from exc

@@ -43,23 +43,14 @@ from .errors import (
     UnknownTag,
 )
 from .field import Field, FrozenValue, Value, system_rng
-from .matrix import (
-    MatrixZp,
-    SquaringTable,
-    decode_matrix,
-    decode_vector,
-    det,
-    encode_matrix,
-    encode_vector,
-    is_identity,
-    mat_pow,
-    vec_add,
+from .matrix import SquaringTable, det, is_identity, mat_pow
+from ._packed import MatrixZp, decode_matrix, decode_vector, encode_matrix, encode_vector, vec_add
+# The theta and shared-setup file codecs are read here only from outside src,
+# by tests and perfbench/harness.py; this module uses SynapticWeights and hash_to_field.
+from .network import (  # noqa: F401
+    SETUP_MAGIC, SETUP_VERSION, SynapticWeights, decode_shared_setup, encode_shared_setup,
 )
-from .network import SynapticWeights
-# The theta and shared-setup file codecs live in scheme, beside the other file
-# codecs; sync re-exports them.
-from .scheme import (SETUP_MAGIC, SETUP_VERSION, THETA_MAGIC, decode_shared_setup,  # noqa: F401
-                     decode_theta, encode_shared_setup, encode_theta, hash_to_field)
+from ._public import THETA_MAGIC, decode_theta, encode_theta, hash_to_field  # noqa: F401
 
 TAG_DH_MATRIX = 0x01
 TAG_PUBLIC_VECTOR = 0x02

@@ -32,7 +32,8 @@ def test_layer_child_times_the_four_set_up_stages():
     stages = result["stages"]
     assert list(stages) == ["unroll", "keygen", "signer_setup", "sync_pair",
                             "sign", "verify", "theta_switch", "verify_reject",
-                            "hash_to_field"]
+                            "hash_to_field", "mat_mul", "det", "mat_pow", "pk_codec",
+                            "sig_codec"]
     for times in (*stages.values(), result["calibration"]):
         assert len(times) == 2 and all(t > 0 for t in times)
 

@@ -1,5 +1,6 @@
 """Cold start: what a fresh interpreter loads for ``import nnsig`` and for each
-CLI subcommand, and that the lazily loaded package exposes the same API."""
+CLI subcommand, that the lazily loaded package exposes the same API, and that
+each module of the package imports a name from the module that defines it."""
 
 from __future__ import annotations
 
@@ -215,7 +216,7 @@ def test_sign_and_verify_skip_sync_metrics_and_socket(files, command):
                  "--sig-out", "out.sig", "--seed", "01"],
         "verify": ["verify", "--pk", "k.pk", "--theta", "t.theta", "--in", "m.txt",
                    "--sig", "m.sig"],
-        # The shared-setup codec lives in scheme, so this child needs no sync.
+        # The shared-setup codec lives in network, so this child needs no sync.
         "keygen": ["keygen", "--n", "6", "--rho", "4", "--seed", "06", "--pk-out", "x.pk",
                    "--sk-out", "x.sk", "--export-shared", "x.bin"],
     }[command]
@@ -262,6 +263,17 @@ def test_unresolvable_host_still_exits_connect(files):
                            "--seed", "05")
     assert code == 4
     assert not {"secrets", *HEAVY} & modules
+    # The sync child reads its codecs from network and _public, not the signer's module.
+    assert {"nnsig.sync", "nnsig.network"} <= modules
+    assert "nnsig.scheme" not in modules
+
+
+def test_sync_module_loads_no_signer():
+    """sync imports the setup codec from network and the theta codec and
+    hash_to_field from _public, so importing it leaves scheme unloaded."""
+    modules = set(_fresh("import json, sys, nnsig.sync\nprint(json.dumps(sorted(sys.modules)))\n"))
+    assert {"nnsig.sync", "nnsig.network", "nnsig._public"} <= modules
+    assert "nnsig.scheme" not in modules
 
 
 @pytest.mark.parametrize("args", [
@@ -337,6 +349,32 @@ def test_theta_codec_is_shared_with_sync():
 
     for name in ("THETA_MAGIC", "encode_theta", "decode_theta"):
         assert getattr(nnsig.sync, name) is getattr(nnsig.scheme, name)
+
+
+def _defined_at_top_level(tree) -> set:
+    """The names a module binds itself at its top level: by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return names
+
+
+def test_every_relative_import_names_the_defining_module():
+    """Each ``from .X import name`` in the package, inside functions and
+    TYPE_CHECKING blocks too, reads name from the module that defines it,
+    never through a module that only imports it."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    defined = {stem: _defined_at_top_level(tree) for stem, tree in trees.items()}
+    through = [f"{stem}:{node.lineno} .{node.module}.{alias.name}"
+               for stem, tree in sorted(trees.items()) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+               for alias in node.names if alias.name not in defined[node.module]]
+    assert through == []
 
 
 def test_traced_names_resolve_on_their_modules():

@@ -13,8 +13,9 @@ each side's runs with their median and quartiles, the change in the median,
 the number of pairs the change won, and whether the median moved in the
 better direction by more than the parent's interquartile range.  It adds a
 table of stages (unroll, keygen, signer setup, sync pair, sign, verify, the
-bias of a fresh theta, a rejected verify and hash_to_field) at the ROADMAP's
-four parameter sets, timed in a child interpreter per checkout, again
+bias of a fresh theta, a rejected verify, hash_to_field, and the layers
+``mat_mul``, ``det``, ``mat_pow`` and the key and signature codecs) at the
+ROADMAP's four parameter sets, timed in a child interpreter per checkout, again
 alternating, in milliseconds and in runs of perfbench's calibration kernel;
 and a table of CLI children (a bare interpreter, ``import nnsig``, ``nnsig
 --help``, keygen, a sync pair, sign, verify, params and attack) at
@@ -61,9 +62,13 @@ PAIRS = 10
 # thetas.  verify_reject, timed before theta_switch moves the memo, verifies
 # the same signatures on their messages with one byte flipped: the early exit
 # after h0 that every fourth sign-verify message of perfbench takes.
-# hash_to_field digests the 1 KiB messages.  Both call functions every
-# checkout has.  Calibration is the median time of perfbench's
-# calibration kernel, run CAL_RUNS times before and after a repeat's stages.
+# hash_to_field digests the 1 KiB messages.  The layer rows run once per repeat
+# on its own key: mat_mul is Wbar_x @ Wbar_theta, det is det(Wbar_x), mat_pow
+# is Wbar_x^a, and pk_codec and sig_codec serialize and parse the public key
+# and (per signature) the MESSAGES signatures; signer_setup is mat_inv(Wbar_x).
+# All call functions every checkout has.  Calibration is the median time of
+# perfbench's calibration kernel, run CAL_RUNS times before and after a
+# repeat's stages.
 LAYER_CHILD = r"""
 import json, os, random, statistics, sys, time
 if hasattr(os, "sched_setaffinity"):  # one CPU, as perfbench/run.py does
@@ -71,6 +76,7 @@ if hasattr(os, "sched_setaffinity"):  # one CPU, as perfbench/run.py does
 sys.path.insert(0, sys.argv[1])
 sys.path.insert(0, os.path.join(os.path.dirname(sys.argv[1]), "perfbench"))
 import nnsig
+from nnsig.matrix import det, mat_mul, mat_pow
 from nnsig.network import build_network, unroll
 from nnsig.scheme import hash_to_field
 from harness import calibration_kernel
@@ -90,11 +96,18 @@ def per_call(fn, args):
         fn(*a)
     return (clock() - t0) / len(args)
 
+def pk_codec(pk):
+    nnsig.parse_public_key(nnsig.serialize_public_key(pk))
+
+def sig_codec(sig, field):
+    nnsig.parse_signature(nnsig.serialize_signature(sig, field), field)
+
 out = {}
 for p, n in sets:
     field = nnsig.Field(p)
     stages = ("unroll", "keygen", "signer_setup", "sync_pair", "sign", "verify", "theta_switch",
-              "verify_reject", "hash_to_field")
+              "verify_reject", "hash_to_field", "mat_mul", "det", "mat_pow", "pk_codec",
+              "sig_codec")
     times = {stage: [] for stage in stages}
     calibration = []
     for k in range(repeats + 1):
@@ -121,10 +134,14 @@ for p, n in sets:
         fresh = [(pk, field.sample_vector(rng, n)) for _ in range(MESSAGES)]
         switch_s = per_call(nnsig.PublicKey.theta_bias, fresh)
         digest_s = per_call(hash_to_field, [(m, n, field) for m in messages])
+        layer_s = [per_call(mat_mul, [(pk.w_x_bar, pk.w_theta_bar)]),
+                   per_call(det, [(pk.w_x_bar,)]), per_call(mat_pow, [(pk.w_x_bar, sk.a)]),
+                   per_call(pk_codec, [(pk,)]),
+                   per_call(sig_codec, [(sig, field) for _, _, _, sig in signed])]
         cal += calibrate()
         if k:
-            for stage, seconds in zip(stages, (t1 - t0, t2 - t1, t3 - t2, t5 - t4,
-                                               sign_s, verify_s, switch_s, reject_s, digest_s)):
+            for stage, seconds in zip(stages, (t1 - t0, t2 - t1, t3 - t2, t5 - t4, sign_s,
+                                               verify_s, switch_s, reject_s, digest_s, *layer_s)):
                 times[stage].append(seconds)
             calibration.append(statistics.median(cal))
     out[f"p={p},n={n}"] = {"stages": times, "calibration": calibration}
@@ -420,7 +437,10 @@ def layer_table(dirs: dict) -> dict:
                 "on the public key, with verify's packed addend where the key packs it on a "
                 "miss, per theta over 16 thetas; verify_reject: verify of the same "
                 "signatures on their messages with one byte flipped (rejected after h0); "
-                "hash_to_field: the digest of each 1 KiB message",
+                "hash_to_field: the digest of each 1 KiB message; signer_setup is mat_inv(Wbar_x), "
+                "the mat_inv row; mat_mul: Wbar_x @ Wbar_theta; det: det(Wbar_x); mat_pow: "
+                "Wbar_x^a, a the key's exponent; pk_codec: serialize and parse the public key; "
+                "sig_codec: serialize and parse a signature, per signature over the 16",
         "units": UNITS,
         "stages": stage_rows(dirs, run_layers, "layers"),
     }
