@@ -229,16 +229,19 @@ def encode_elements(field: Field, values) -> bytes:
     return encode_uints(values, field.element_size)
 
 
-def read_elements(field: Field, buf: bytes, offset: int, count: int, what: str):
+def read_elements(field: Field, buf: bytes, offset: int, count: int, what: str,
+                  last: bool = False):
     """Decode count elements at offset; returns (tuple, next_offset).
 
-    The length is checked before anything is decoded, and any entry >= p is
-    rejected.
+    The length is checked before anything is decoded (when last, the elements
+    must end buf), and any entry >= p is rejected.
     """
     size = field.element_size
     end = offset + count * size
     if len(buf) < end:
         raise MalformedEncoding(f"truncated {what} payload")
+    if last and len(buf) > end:
+        raise MalformedEncoding(f"trailing bytes after {what}")
     out = decode_uints(buf[offset:end], size)
     if out and max(out) >= field.p:
         raise MalformedEncoding(f"{what} entry {max(out)} out of range for p={field.p}")
@@ -249,20 +252,27 @@ def encode_vector(field: Field, v) -> bytes:
     return _LEN.pack(len(v)) + encode_elements(field, v)
 
 
-def read_vector(field: Field, buf: bytes, offset: int = 0) -> tuple:
-    """Decode one vector at offset; returns (vector, next_offset)."""
+def read_vector(field: Field, buf: bytes, offset: int = 0, length: Optional[int] = None,
+                last: bool = False) -> tuple:
+    """Decode one vector at offset; returns (vector, next_offset).
+
+    Given length, a vector that declares another raises DimensionMismatch
+    ("length L, expected N") before any entry is decoded; last is as for
+    read_elements.
+    """
     if len(buf) < offset + _LEN.size:
         raise MalformedEncoding("truncated vector length")
-    (length,) = _LEN.unpack_from(buf, offset)
-    if length > MAX_DECODE_DIM:
-        raise MalformedEncoding(f"vector length {length} above decode cap")
-    return read_elements(field, buf, offset + _LEN.size, length, "vector")
+    (declared,) = _LEN.unpack_from(buf, offset)
+    if declared > MAX_DECODE_DIM:
+        raise MalformedEncoding(f"vector length {declared} above decode cap")
+    if length is not None and declared != length:
+        raise DimensionMismatch(f"length {declared}, expected {length}")
+    return read_elements(field, buf, offset + _LEN.size, declared, "vector", last)
 
 
 def decode_vector(field: Field, buf: bytes) -> tuple:
-    v, end = read_vector(field, buf, 0)
-    expect_end(buf, end, "vector")
-    return v
+    """The vector that fills buf."""
+    return read_vector(field, buf, 0, last=True)[0]
 
 
 def encode_matrix(a: MatrixZp) -> bytes:
@@ -270,18 +280,25 @@ def encode_matrix(a: MatrixZp) -> bytes:
     return _DIMS.pack(a.n_rows, a.n_cols) + encode_elements(a.field, flat)
 
 
-def read_matrix(field: Field, buf: bytes, offset: int = 0):
-    """Decode one matrix at offset; returns (matrix, next_offset)."""
+def read_matrix(field: Field, buf: bytes, offset: int = 0, shape: Optional[tuple] = None,
+                last: bool = False):
+    """Decode one matrix at offset; returns (matrix, next_offset).
+
+    Given shape (rows, cols), a matrix that declares another raises
+    DimensionMismatch ("RxC, expected RxC") before any entry is decoded; last
+    is as for read_elements.
+    """
     if len(buf) < offset + _DIMS.size:
         raise MalformedEncoding("truncated matrix header")
     n_rows, n_cols = _DIMS.unpack_from(buf, offset)
     if n_rows == 0 or n_cols == 0 or n_rows > MAX_DECODE_DIM or n_cols > MAX_DECODE_DIM:
         raise MalformedEncoding(f"bad matrix dimensions {n_rows}x{n_cols}")
-    flat, end = read_elements(field, buf, offset + _DIMS.size, n_rows * n_cols, "matrix")
+    if shape is not None and (n_rows, n_cols) != shape:
+        raise DimensionMismatch(f"{n_rows}x{n_cols}, expected {shape[0]}x{shape[1]}")
+    flat, end = read_elements(field, buf, offset + _DIMS.size, n_rows * n_cols, "matrix", last)
     return MatrixZp(field, split_rows(flat, n_rows, n_cols)), end
 
 
 def decode_matrix(field: Field, buf: bytes) -> MatrixZp:
-    m, end = read_matrix(field, buf, 0)
-    expect_end(buf, end, "matrix")
-    return m
+    """The matrix that fills buf."""
+    return read_matrix(field, buf, 0, last=True)[0]

@@ -21,9 +21,11 @@ Wire frames are ``u8 tag | u32le length | payload`` with tag 0x01 carrying a
 matrix (the DH share) and 0x02 a vector (the public share).  A session is the
 only code that encodes or decodes them: its sending steps return frame bytes
 and its receiving steps take frame bytes, so a transport only moves bytes, and
-the transcript holds exactly what crossed the wire.  Sessions are strict state
-machines — any out-of-order call raises InvalidStateError and leaves the
-session untouched, as does any frame it refuses.
+the transcript holds exactly what crossed the wire.  A receiving step knows
+the one frame length its n allows and refuses any other before it decodes an
+entry.  Sessions are strict state machines — any out-of-order call raises
+InvalidStateError and leaves the session untouched, as does any frame it
+refuses.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import struct
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
+    DimensionMismatch,
     InvalidStateError,
     LengthOverflow,
     MalformedEncoding,
@@ -44,7 +47,7 @@ from .errors import (
 )
 from .field import Field, FrozenValue, Value, system_rng
 from .matrix import SquaringTable, det, is_identity, mat_pow
-from ._packed import MatrixZp, decode_matrix, decode_vector, encode_matrix, encode_vector, vec_add
+from ._packed import MatrixZp, encode_matrix, encode_vector, read_matrix, read_vector, vec_add
 # The theta and shared-setup file codecs are read here only from outside src,
 # by tests and perfbench/harness.py; this module uses SynapticWeights and hash_to_field.
 from .network import (  # noqa: F401
@@ -98,19 +101,22 @@ def _frame_header(data: bytes) -> Tuple[int, int]:
     return tag, length
 
 
-def wire_decode(data: bytes, field: Field) -> SyncMessage:
-    """Decode one whole frame, which must end where its payload does."""
+def wire_decode(data: bytes, field: Field, n: Optional[int] = None) -> SyncMessage:
+    """Decode one whole frame, which must end where its payload does.
+
+    Given n, a payload of another shape than an n x n matrix or a length-n
+    vector raises DimensionMismatch before any entry is decoded.
+    """
     tag, length = _frame_header(data)
     end = _HDR.size + length
     if len(data) < end:
         raise MalformedFrame("truncated frame payload")
     if len(data) > end:
         raise MalformedFrame("trailing bytes after frame")
-    payload = data[_HDR.size:]
     try:
         if tag == TAG_DH_MATRIX:
-            return DhMatrixMessage(decode_matrix(field, payload))
-        return PublicVectorMessage(field, decode_vector(field, payload))
+            return DhMatrixMessage(read_matrix(field, data, _HDR.size, n and (n, n), last=True)[0])
+        return PublicVectorMessage(field, read_vector(field, data, _HDR.size, n, last=True)[0])
     except MalformedEncoding as exc:
         raise MalformedFrame(f"bad frame payload: {exc}") from exc
 
@@ -227,12 +233,13 @@ class SyncSession(Value):
     def receive_dh(self, frame: bytes) -> None:
         """Absorb the frame of the peer's DH share and derive W_s and the mask r."""
         self._expect(SessionState.SENT_DH, "receive_dh")
-        msg = wire_decode(frame, self.config.field)
-        if not isinstance(msg, DhMatrixMessage):
-            raise MalformedFrame(f"expected a DH matrix frame, got {type(msg).__name__}")
-        peer, n = msg.matrix, self.config.n
-        if peer.n_rows != n or peer.n_cols != n:
-            raise MalformedFrame(f"peer DH share is {peer.n_rows}x{peer.n_cols}, expected {n}x{n}")
+        n = self.config.n
+        if _frame_header(frame)[0] != TAG_DH_MATRIX:
+            raise MalformedFrame("expected a DH matrix frame, got PublicVectorMessage")
+        try:
+            peer = wire_decode(frame, self.config.field, n).matrix
+        except DimensionMismatch as exc:
+            raise MalformedFrame(f"peer DH share is {exc}") from exc
         # A singular share (all-zero, say) gives a singular W_s whatever our
         # exponent is: the all-zero share fixes W_s = 0 and with it the mask.
         if det(peer) == 0:
@@ -260,15 +267,14 @@ class SyncSession(Value):
     def finalize(self, frame: bytes) -> tuple:
         """Combine our share with the peer's, from its frame: theta = P_own + P_peer."""
         self._expect(SessionState.SENT_PUBLIC, "finalize")
-        msg = wire_decode(frame, self.config.field)
-        if not isinstance(msg, PublicVectorMessage):
-            raise MalformedFrame(f"expected a public-vector frame, got {type(msg).__name__}")
-        if len(msg.vector) != self.config.n:
-            raise MalformedFrame(
-                f"peer public share has length {len(msg.vector)}, expected {self.config.n}"
-            )
+        if _frame_header(frame)[0] != TAG_PUBLIC_VECTOR:
+            raise MalformedFrame("expected a public-vector frame, got DhMatrixMessage")
+        try:
+            peer = wire_decode(frame, self.config.field, self.config.n).vector
+        except DimensionMismatch as exc:
+            raise MalformedFrame(f"peer public share has {exc}") from exc
         self.transcript.append(("recv", frame))
-        self.theta = vec_add(self.config.field, self.local_public, msg.vector)
+        self.theta = vec_add(self.config.field, self.local_public, peer)
         self.state = SessionState.DONE
         return self.theta
 

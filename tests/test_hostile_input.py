@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nnsig._packed
 from nnsig.errors import MalformedEncoding, MalformedFrame, NnsigError, UnsupportedVersion
 from nnsig.field import Field
 from nnsig.matrix import MatrixZp, from_rows, identity
@@ -28,9 +29,12 @@ from nnsig.scheme import (
 )
 from nnsig.sync import (
     DhMatrixMessage,
+    PublicVectorMessage,
     SessionState,
     SyncConfig,
     SyncSession,
+    TAG_DH_MATRIX,
+    TAG_PUBLIC_VECTOR,
     decode_shared_setup,
     decode_theta,
     encode_shared_setup,
@@ -193,6 +197,52 @@ def test_mutated_frames_leave_a_refusing_session_untouched(kind, state, receive)
             assert session.transcript == before[1] + [("recv", data)]
 
     check()
+
+
+def _frame(tag: int, payload: bytes) -> bytes:
+    return bytes([tag]) + len(payload).to_bytes(4, "little") + payload
+
+
+def _dh_frame(rows: int, cols: int) -> bytes:
+    return wire_encode(DhMatrixMessage(MatrixZp(FIELD, ((1,) * cols,) * rows)))
+
+
+def _vector_frame(length: int) -> bytes:
+    return wire_encode(PublicVectorMessage(FIELD, (1,) * length))
+
+
+@pytest.mark.parametrize(
+    "state, frame, message",
+    [
+        (SessionState.SENT_DH, _dh_frame(N + 1, N + 1), f"is {N + 1}x{N + 1}, expected {N}x{N}"),
+        (SessionState.SENT_DH, _dh_frame(N, N + 1), f"is {N}x{N + 1}, expected {N}x{N}"),
+        (SessionState.SENT_DH, _dh_frame(1, N * N), f"is 1x{N * N}, expected {N}x{N}"),
+        (SessionState.SENT_DH, _frame(TAG_DH_MATRIX, _dh_frame(N, N)[5:] + bytes(2 * N)),
+         "trailing bytes after matrix"),
+        (SessionState.SENT_PUBLIC, _vector_frame(N + 1), f"length {N + 1}, expected {N}"),
+        (SessionState.SENT_PUBLIC, _vector_frame(N - 1), f"length {N - 1}, expected {N}"),
+        (SessionState.SENT_PUBLIC, _frame(TAG_PUBLIC_VECTOR, _vector_frame(N)[5:] + bytes(2)),
+         "trailing bytes after vector"),
+    ],
+    ids=["dh-larger", "dh-wider", "dh-one-row", "dh-longer-payload", "vector-longer",
+         "vector-shorter", "vector-longer-payload"],
+)
+def test_a_frame_of_another_shape_is_refused_before_any_entry_is_decoded(
+    monkeypatch, state, frame, message
+):
+    """A session knows the one frame length its n allows, so a peer cannot make
+    it decode a frame of any other shape (up to the 16 MiB frame cap)."""
+    session = _armed_session(state)
+    before = _snapshot(session)
+
+    def decode_uints(buf, width):
+        raise AssertionError(f"decoded {len(buf) // width} entries of a refused frame")
+
+    monkeypatch.setattr(nnsig._packed, "decode_uints", decode_uints)
+    receive = SyncSession.receive_dh if state is SessionState.SENT_DH else SyncSession.finalize
+    with pytest.raises(MalformedFrame, match=message):
+        receive(session, frame)
+    assert _snapshot(session) == before
 
 
 def test_shared_setup_bad_version_is_unsupported_version():

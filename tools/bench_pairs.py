@@ -12,8 +12,8 @@ run as long as ``BENCHMARK.json``'s ``run_seconds``, and writes
 each side's runs with their median and quartiles, the change in the median,
 the number of pairs the change won, and whether the median moved in the
 better direction by more than the parent's interquartile range.  It adds a
-table of stages (unroll, keygen, signer setup, sync pair, sign, verify, the
-bias of a fresh theta, a rejected verify, hash_to_field, and the layers
+table of stages (unroll, keygen, signer setup, sync pair, sign, verify,
+a rejected verify, the bias of a fresh theta, hash_to_field, and the layers
 ``mat_mul``, ``det``, ``mat_pow`` and the key and signature codecs) at the
 ROADMAP's four parameter sets, timed in a child interpreter per checkout, again
 alternating, in milliseconds and in runs of perfbench's calibration kernel;
@@ -29,12 +29,14 @@ import json
 import operator
 import os
 import platform
+import random
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,182 +50,166 @@ LAYER_RHO = 10
 LAYER_REPEATS = 9
 FIRST_SEED = 901
 PAIRS = 10
-
-# Runs in a child interpreter with a checkout's src/ first on sys.path; prints
-# {"p=..,n=..": {"stages": {stage: [seconds, ...]}, "calibration": [seconds, ...]}}.
-# Each repeat builds a fresh key and a fresh SyncConfig, so no squaring table
-# or memo carries over from one repeat to the next.  Repeat 0 of each set is an
-# untimed warm-up: the first pass through the set-up path runs slower than the
-# rest, and kept among the samples it widened the quartiles.  Within a repeat,
-# one untimed sign and verify fill the keys' memos, then sign and verify are
-# timed per message over MESSAGES messages under one theta, and theta_switch
-# is the bias of a fresh theta (PublicKey.theta_bias, which also packs verify's
-# addend where the public key packs it on a miss), per theta over MESSAGES
-# thetas.  verify_reject, timed before theta_switch moves the memo, verifies
-# the same signatures on their messages with one byte flipped: the early exit
-# after h0 that every fourth sign-verify message of perfbench takes.
-# hash_to_field digests the 1 KiB messages.  The layer rows run once per repeat
-# on its own key: mat_mul is Wbar_x @ Wbar_theta, det is det(Wbar_x), mat_pow
-# is Wbar_x^a, and pk_codec and sig_codec serialize and parse the public key
-# and (per signature) the MESSAGES signatures; signer_setup is mat_inv(Wbar_x).
-# All call functions every checkout has.  Calibration is the median time of
-# perfbench's calibration kernel, run CAL_RUNS times before and after a
-# repeat's stages.
-LAYER_CHILD = r"""
-import json, os, random, statistics, sys, time
-if hasattr(os, "sched_setaffinity"):  # one CPU, as perfbench/run.py does
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-sys.path.insert(0, sys.argv[1])
-sys.path.insert(0, os.path.join(os.path.dirname(sys.argv[1]), "perfbench"))
-import nnsig
-from nnsig.matrix import det, mat_mul, mat_pow
-from nnsig.network import build_network, unroll
-from nnsig.scheme import hash_to_field
-from harness import calibration_kernel
-sets, rho, repeats = json.loads(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
-MESSAGES, CAL_RUNS = 16, 3
-clock = time.perf_counter
-
-def calibrate():
-    times = []
-    for _ in range(CAL_RUNS):
-        t0 = clock(); calibration_kernel(); times.append(clock() - t0)
-    return times
-
-def per_call(fn, args):
-    t0 = clock()
-    for a in args:
-        fn(*a)
-    return (clock() - t0) / len(args)
-
-def pk_codec(pk):
-    nnsig.parse_public_key(nnsig.serialize_public_key(pk))
-
-def sig_codec(sig, field):
-    nnsig.parse_signature(nnsig.serialize_signature(sig, field), field)
-
-out = {}
-for p, n in sets:
-    field = nnsig.Field(p)
-    stages = ("unroll", "keygen", "signer_setup", "sync_pair", "sign", "verify", "theta_switch",
-              "verify_reject", "hash_to_field", "mat_mul", "det", "mat_pow", "pk_codec",
-              "sig_codec")
-    times = {stage: [] for stage in stages}
-    calibration = []
-    for k in range(repeats + 1):
-        cal = calibrate()
-        config = nnsig.NetworkConfig(n=n, field=field, rho=rho, seed=b"layers %d" % k)
-        weights, schedule = build_network(config)
-        t0 = clock(); unroll(weights, schedule); t1 = clock()
-        pk, sk = nnsig.keygen(config, random.Random(k)); t2 = clock()
-        sk.signing_matrix(); t3 = clock()
-        rng = random.Random(k)
-        sync = nnsig.SyncConfig(weights=sk.weights, q=field.sample_vector(rng, n))
-        t4 = clock()
-        nnsig.run_pair(nnsig.SyncSession.create(sync, random.Random(2 * k)),
-                       nnsig.SyncSession.create(sync, random.Random(2 * k + 1)))
-        t5 = clock()
-        theta = field.sample_vector(rng, n)
-        nnsig.verify(pk, theta, b"", nnsig.sign(sk, theta, b"", rng))
-        messages = [rng.randbytes(1024) for _ in range(MESSAGES)]
-        sign_s = per_call(nnsig.sign, [(sk, theta, m, rng) for m in messages])
-        signed = [(pk, theta, m, nnsig.sign(sk, theta, m, rng)) for m in messages]
-        verify_s = per_call(nnsig.verify, signed)
-        reject_s = per_call(nnsig.verify, [(pk, theta, bytes([m[0] ^ 1]) + m[1:], sig)
-                                           for pk, theta, m, sig in signed])
-        fresh = [(pk, field.sample_vector(rng, n)) for _ in range(MESSAGES)]
-        switch_s = per_call(nnsig.PublicKey.theta_bias, fresh)
-        digest_s = per_call(hash_to_field, [(m, n, field) for m in messages])
-        layer_s = [per_call(mat_mul, [(pk.w_x_bar, pk.w_theta_bar)]),
-                   per_call(det, [(pk.w_x_bar,)]), per_call(mat_pow, [(pk.w_x_bar, sk.a)]),
-                   per_call(pk_codec, [(pk,)]),
-                   per_call(sig_codec, [(sig, field) for _, _, _, sig in signed])]
-        cal += calibrate()
-        if k:
-            for stage, seconds in zip(stages, (t1 - t0, t2 - t1, t3 - t2, t5 - t4, sign_s,
-                                               verify_s, switch_s, reject_s, digest_s, *layer_s)):
-                times[stage].append(seconds)
-            calibration.append(statistics.median(cal))
-    out[f"p={p},n={n}"] = {"stages": times, "calibration": calibration}
-print(json.dumps(out))
-"""
-
-
+MESSAGES = 16
+CAL_RUNS = 3
 CLI_REPEATS = 9
 
-# Runs in a child interpreter with a checkout's directory as argv[1]; prints the
-# LAYER_CHILD layout for one key, perfbench's CLI_PARAMS.  Each repeat times one
-# child of each row, as perfbench's cli-session runs them (its SubprocessCli,
-# so PYTHONPATH points at the checkout's src and, under this tool's ENV, no
-# child writes bytecode): a bare interpreter, ``import nnsig``, ``--help``,
-# keygen --export-shared, a sync pair (listener and connector, timed together),
-# sign and verify of a 1 KiB message, params and attack.  Repeat 0 is an
-# untimed warm-up, and calibration is timed around each repeat as above.
-CLI_CHILD = r"""
-import json, os, shutil, statistics, sys, tempfile, time
-if hasattr(os, "sched_setaffinity"):  # one CPU, as perfbench/run.py does
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-sys.path.insert(0, os.path.join(sys.argv[1], "src"))
-sys.path.insert(0, os.path.join(sys.argv[1], "perfbench"))
-from harness import CLI_PARAMS, calibration_kernel, timed_run
-from workloads import SubprocessCli
-repeats, CAL_RUNS = int(sys.argv[2]), 3
-clock = time.perf_counter
-cli = SubprocessCli()
-p, n, rho = map(str, CLI_PARAMS)
-rows = ("bare", "import", "help", "keygen", "sync_pair", "sign", "verify", "params", "attack")
+# Run as ``python -c BOOTSTRAP SRC PERFBENCH TOOLS TABLE REPEATS SETS``: the child
+# imports nnsig and perfbench from a checkout and this module from this tree's
+# tools/, so both checkouts are timed by the same code.
+BOOTSTRAP = """import json, sys
+sys.path[:0] = sys.argv[1:4]
+import bench_pairs
+bench_pairs.child(getattr(bench_pairs, sys.argv[4]), int(sys.argv[5]), json.loads(sys.argv[6]))"""
 
-def calibrate():
-    times = []
-    for _ in range(CAL_RUNS):
-        t0 = clock(); calibration_kernel(); times.append(clock() - t0)
-    return times
 
-def seconds(row, result):
-    if result[1] != 0:
-        raise SystemExit(f"{row} exited {result[1]}")
-    return result[0]
+def child(table, repeats: int, sets) -> None:
+    """Run ``table(k, *args)`` for each args of sets in this child interpreter
+    and print {key: {"stages": {stage: [seconds, ...]}, "calibration": [seconds, ...]}},
+    where the table returns (key, {stage: seconds}) for repeat k.
 
-work = tempfile.mkdtemp()
-at = lambda name: os.path.join(work, name)
-with open(at("m.bin"), "wb") as fh:
-    fh.write(bytes(range(256)) * 4)
-times = {row: [] for row in rows}
-calibration = []
-try:
-    for k in range(repeats + 1):
-        seed = "c1%02x" % k
-        cal = calibrate()
-        spent = [
-            seconds("bare", timed_run([sys.executable, "-c", "pass"])),
-            seconds("import", timed_run([sys.executable, "-c", "import nnsig"])),
-            seconds("help", cli.run(["--help"])),
-            seconds("keygen", cli.run(["keygen", "--p", p, "--n", n, "--rho", rho,
-                                       "--pk-out", at("k.pk"), "--sk-out", at("k.sk"),
-                                       "--export-shared", at("s.bin"), "--seed", seed])),
-        ]
+    The child runs on one CPU, as perfbench/run.py does.  Repeat 0 of each set
+    is an untimed warm-up: the first pass through the set-up path runs slower
+    than the rest, and kept among the samples it widened the quartiles.
+    Calibration is the median time of perfbench's calibration kernel, run
+    CAL_RUNS times before and after a repeat's stages.
+    """
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    from harness import calibration_kernel
+
+    def calibrate():
+        times = []
+        for _ in range(CAL_RUNS):
+            t0 = time.perf_counter()
+            calibration_kernel()
+            times.append(time.perf_counter() - t0)
+        return times
+
+    out = {}
+    for args in sets:
+        for k in range(repeats + 1):
+            cal = calibrate()
+            key, stages = table(k, *args)
+            cal += calibrate()
+            if k:
+                cell = out.setdefault(key, {"stages": {}, "calibration": []})
+                for stage, seconds in stages.items():
+                    cell["stages"].setdefault(stage, []).append(seconds)
+                cell["calibration"].append(statistics.median(cal))
+    print(json.dumps(out))
+
+
+def per_call(fn, args) -> float:
+    """Mean seconds of ``fn(*a)`` over the argument tuples in args."""
+    t0 = time.perf_counter()
+    for a in args:
+        fn(*a)
+    return (time.perf_counter() - t0) / len(args)
+
+
+def layer_child(k: int, p: int, n: int) -> tuple:
+    """Repeat k of the layer table at (p, n): ("p=..,n=..", {stage: seconds}).
+
+    Each repeat builds a fresh key and a fresh SyncConfig, so no squaring
+    table or memo carries over from one repeat to the next.  One untimed sign
+    and verify fill the keys' memos, then sign and verify are timed per
+    message over MESSAGES messages under one theta.  verify_reject, timed
+    before theta_switch moves the memo, verifies the same signatures on their
+    messages with one byte flipped: the early exit after h0 that every fourth
+    sign-verify message of perfbench takes.  theta_switch is the bias of a
+    fresh theta (PublicKey.theta_bias, which also packs verify's addend where
+    the public key packs it on a miss), per theta over MESSAGES thetas.
+    hash_to_field digests the 1 KiB messages.  The layer rows run once on the
+    repeat's key: mat_mul is Wbar_x @ Wbar_theta, det is det(Wbar_x), mat_pow
+    is Wbar_x^(p-2), the largest exponent keygen can draw, so every repeat at
+    a set runs the same products; pk_codec and sig_codec serialize and parse
+    the public key and (per signature) the MESSAGES signatures; signer_setup
+    is mat_inv(Wbar_x).  All call functions every checkout has.
+    """
+    import nnsig
+    from nnsig.matrix import det, mat_mul, mat_pow
+
+    def pk_codec(pk):
+        nnsig.parse_public_key(nnsig.serialize_public_key(pk))
+
+    def sig_codec(sig, field):
+        nnsig.parse_signature(nnsig.serialize_signature(sig, field), field)
+
+    field = nnsig.Field(p)
+    config = nnsig.NetworkConfig(n=n, field=field, rho=LAYER_RHO, seed=b"layers %d" % k)
+    weights, schedule = nnsig.build_network(config)
+    stages = {"unroll": per_call(nnsig.unroll, [(weights, schedule)])}
+    t0 = time.perf_counter()
+    pk, sk = nnsig.keygen(config, random.Random(k))
+    stages["keygen"] = time.perf_counter() - t0
+    stages["signer_setup"] = per_call(sk.signing_matrix, [()])
+    rng = random.Random(k)
+    sync = nnsig.SyncConfig(weights=sk.weights, q=field.sample_vector(rng, n))
+    t0 = time.perf_counter()
+    nnsig.run_pair(nnsig.SyncSession.create(sync, random.Random(2 * k)),
+                   nnsig.SyncSession.create(sync, random.Random(2 * k + 1)))
+    stages["sync_pair"] = time.perf_counter() - t0
+    theta = field.sample_vector(rng, n)
+    nnsig.verify(pk, theta, b"", nnsig.sign(sk, theta, b"", rng))
+    messages = [rng.randbytes(1024) for _ in range(MESSAGES)]
+    stages["sign"] = per_call(nnsig.sign, [(sk, theta, m, rng) for m in messages])
+    signed = [(pk, theta, m, nnsig.sign(sk, theta, m, rng)) for m in messages]
+    stages["verify"] = per_call(nnsig.verify, signed)
+    stages["verify_reject"] = per_call(nnsig.verify, [(pk, theta, bytes([m[0] ^ 1]) + m[1:], sig)
+                                                      for pk, theta, m, sig in signed])
+    fresh = [(pk, field.sample_vector(rng, n)) for _ in range(MESSAGES)]
+    stages["theta_switch"] = per_call(nnsig.PublicKey.theta_bias, fresh)
+    stages["hash_to_field"] = per_call(nnsig.hash_to_field, [(m, n, field) for m in messages])
+    stages["mat_mul"] = per_call(mat_mul, [(pk.w_x_bar, pk.w_theta_bar)])
+    stages["det"] = per_call(det, [(pk.w_x_bar,)])
+    stages["mat_pow"] = per_call(mat_pow, [(pk.w_x_bar, p - 2)])
+    stages["pk_codec"] = per_call(pk_codec, [(pk,)])
+    stages["sig_codec"] = per_call(sig_codec, [(sig, field) for *_, sig in signed])
+    return f"p={p},n={n}", stages
+
+
+def cli_child(k: int) -> tuple:
+    """Repeat k of the CLI table at perfbench's CLI_PARAMS: ("p=..,n=..", {row: seconds}).
+
+    Each row times one child, as perfbench's cli-session runs them (its
+    SubprocessCli, so PYTHONPATH points at the checkout's src and, under this
+    tool's ENV, no child writes bytecode): a bare interpreter, ``import
+    nnsig``, ``--help``, keygen --export-shared, a sync pair (listener and
+    connector, timed together), sign and verify of a 1 KiB message, params and
+    attack.
+    """
+    from harness import CLI_PARAMS, timed_run
+    from workloads import SubprocessCli
+
+    cli, seed = SubprocessCli(), "c1%02x" % k
+    p, n, rho = map(str, CLI_PARAMS)
+    with tempfile.TemporaryDirectory() as work:
+        at = lambda name: os.path.join(work, name)  # noqa: E731
+        Path(at("m.bin")).write_bytes(bytes(range(256)) * 4)
+        runs = {
+            "bare": timed_run([sys.executable, "-c", "pass"]),
+            "import": timed_run([sys.executable, "-c", "import nnsig"]),
+            "help": cli.run(["--help"]),
+            "keygen": cli.run(["keygen", "--p", p, "--n", n, "--rho", rho, "--pk-out", at("k.pk"),
+                               "--sk-out", at("k.sk"), "--export-shared", at("s.bin"),
+                               "--seed", seed]),
+        }
         pair, (code_a, _), (code_b, _) = cli.sync_pair(
             ["sync", "--config", at("s.bin"), "--listen", "127.0.0.1:0",
              "--theta-out", at("a.theta"), "--seed", seed + "a1"],
             ["sync", "--config", at("s.bin"), "--theta-out", at("b.theta"), "--seed", seed + "b2"])
-        spent.append(seconds("sync_pair", (pair, code_a or code_b)))
-        spent += [
-            seconds("sign", cli.run(["sign", "--sk", at("k.sk"), "--theta", at("a.theta"), "--in",
-                                     at("m.bin"), "--sig-out", at("m.sig"), "--seed", seed])),
-            seconds("verify", cli.run(["verify", "--pk", at("k.pk"), "--theta", at("b.theta"),
-                                       "--in", at("m.bin"), "--sig", at("m.sig")])),
-            seconds("params", cli.run(["params", "--n", "43", "--p", "257"])),
-            seconds("attack", cli.run(["attack", "--n", "4", "--p", "31", "--seed", seed])),
-        ]
-        cal += calibrate()
-        if k:
-            for row, s in zip(rows, spent):
-                times[row].append(s)
-            calibration.append(statistics.median(cal))
-finally:
-    shutil.rmtree(work)
-print(json.dumps({f"p={p},n={n}": {"stages": times, "calibration": calibration}}))
-"""
+        runs["sync_pair"] = (pair, code_a or code_b)
+        runs["sign"] = cli.run(["sign", "--sk", at("k.sk"), "--theta", at("a.theta"), "--in",
+                                at("m.bin"), "--sig-out", at("m.sig"), "--seed", seed])
+        runs["verify"] = cli.run(["verify", "--pk", at("k.pk"), "--theta", at("b.theta"),
+                                  "--in", at("m.bin"), "--sig", at("m.sig")])
+        runs["params"] = cli.run(["params", "--n", "43", "--p", "257"])
+        runs["attack"] = cli.run(["attack", "--n", "4", "--p", "31", "--seed", seed])
+    failed = [f"{row} exited {run[1]}" for row, run in runs.items() if run[1] != 0]
+    if failed:
+        raise SystemExit("; ".join(failed))
+    return f"p={p},n={n}", {row: run[0] for row, run in runs.items()}
 
 
 def git(*args, cwd=ROOT, **kwargs) -> subprocess.CompletedProcess:
@@ -282,17 +268,19 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def run_layers(checkout: Path) -> dict:
-    return run_child([LAYER_CHILD, str(checkout / "src"), json.dumps(LAYER_SETS), str(LAYER_RHO),
-                      str(LAYER_REPEATS)])
+    return run_child(checkout, "layer_child", LAYER_REPEATS, LAYER_SETS)
 
 
 def run_cli(checkout: Path) -> dict:
-    return run_child([CLI_CHILD, str(checkout), str(CLI_REPEATS)])
+    return run_child(checkout, "cli_child", CLI_REPEATS, [[]])  # one set: perfbench's CLI_PARAMS
 
 
-def run_child(argv) -> dict:
-    proc = subprocess.run([sys.executable, "-c", *argv], env=run_env(), capture_output=True,
-                          text=True)
+def run_child(checkout: Path, table: str, repeats: int, sets, timeout=None) -> dict:
+    """``child(table, repeats, sets)`` in a child interpreter on checkout's
+    src and perfbench, killed after timeout seconds if given; returns what it prints."""
+    argv = [sys.executable, "-c", BOOTSTRAP, str(checkout / "src"), str(checkout / "perfbench"),
+            str(ROOT / "tools"), table, str(repeats), json.dumps(sets)]
+    proc = subprocess.run(argv, env=run_env(), capture_output=True, text=True, timeout=timeout)
     if proc.returncode != 0:
         raise RuntimeError(proc.stderr[-2000:])
     return json.loads(proc.stdout)
@@ -439,7 +427,8 @@ def layer_table(dirs: dict) -> dict:
                 "signatures on their messages with one byte flipped (rejected after h0); "
                 "hash_to_field: the digest of each 1 KiB message; signer_setup is mat_inv(Wbar_x), "
                 "the mat_inv row; mat_mul: Wbar_x @ Wbar_theta; det: det(Wbar_x); mat_pow: "
-                "Wbar_x^a, a the key's exponent; pk_codec: serialize and parse the public key; "
+                "Wbar_x^(p-2), the largest exponent keygen can draw, the same at every repeat "
+                "of a set; pk_codec: serialize and parse the public key; "
                 "sig_codec: serialize and parse a signature, per signature over the 16",
         "units": UNITS,
         "stages": stage_rows(dirs, run_layers, "layers"),
