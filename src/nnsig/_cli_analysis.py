@@ -12,6 +12,8 @@ from .field import Field, is_prime
 
 # Upper bound on params --p-bits: the prime search below 2^bits takes seconds above it.
 MAX_P_BITS = 1024
+# Upper bound on params --n: the estimates loop n times, 0.1 s at 2^20.
+MAX_PARAMS_N = 1 << 20
 
 
 def _resolve_params_p(args) -> int:
@@ -34,6 +36,8 @@ def _resolve_params_p(args) -> int:
 def cmd_params(args) -> int:
     from .hardness import estimate
 
+    if args.n > MAX_PARAMS_N:
+        raise LimitExceeded(f"--n {args.n} is above the limit of {MAX_PARAMS_N}")
     p = _resolve_params_p(args)
     est = estimate(args.n, p, args.level)
     _say(args, f"n={est.n} p={p} level={est.level}")

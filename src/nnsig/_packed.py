@@ -218,34 +218,29 @@ def read_header(data: bytes, magic: bytes, version: Optional[int], kind: str,
     return fields.unpack_from(data, start), start + fields.size
 
 
-def expect_end(data: bytes, offset: int, what: str) -> None:
-    """Refuse any bytes after the last field of a file or payload."""
-    if offset != len(data):
-        raise MalformedEncoding(f"trailing bytes after {what}")
-
-
 def encode_elements(field: Field, values) -> bytes:
     """Field elements back to back, ``field.element_size`` bytes each."""
     return encode_uints(values, field.element_size)
 
 
 def read_elements(field: Field, buf: bytes, offset: int, count: int, what: str,
-                  last: bool = False):
+                  end: Optional[str] = None):
     """Decode count elements at offset; returns (tuple, next_offset).
 
-    The length is checked before anything is decoded (when last, the elements
-    must end buf), and any entry >= p is rejected.
+    The length is checked before anything is decoded: given ``end``, the name
+    of the file or payload this run closes, the elements must end buf or raise
+    "trailing bytes after <end>".  Any entry >= p is rejected.
     """
     size = field.element_size
-    end = offset + count * size
-    if len(buf) < end:
+    stop = offset + count * size
+    if len(buf) < stop:
         raise MalformedEncoding(f"truncated {what} payload")
-    if last and len(buf) > end:
-        raise MalformedEncoding(f"trailing bytes after {what}")
-    out = decode_uints(buf[offset:end], size)
+    if end is not None and len(buf) > stop:
+        raise MalformedEncoding(f"trailing bytes after {end}")
+    out = decode_uints(buf[offset:stop], size)
     if out and max(out) >= field.p:
         raise MalformedEncoding(f"{what} entry {max(out)} out of range for p={field.p}")
-    return out, end
+    return out, stop
 
 
 def encode_vector(field: Field, v) -> bytes:
@@ -253,11 +248,11 @@ def encode_vector(field: Field, v) -> bytes:
 
 
 def read_vector(field: Field, buf: bytes, offset: int = 0, length: Optional[int] = None,
-                last: bool = False) -> tuple:
+                end: Optional[str] = None) -> tuple:
     """Decode one vector at offset; returns (vector, next_offset).
 
     Given length, a vector that declares another raises DimensionMismatch
-    ("length L, expected N") before any entry is decoded; last is as for
+    ("length L, expected N") before any entry is decoded; end is as for
     read_elements.
     """
     if len(buf) < offset + _LEN.size:
@@ -267,12 +262,7 @@ def read_vector(field: Field, buf: bytes, offset: int = 0, length: Optional[int]
         raise MalformedEncoding(f"vector length {declared} above decode cap")
     if length is not None and declared != length:
         raise DimensionMismatch(f"length {declared}, expected {length}")
-    return read_elements(field, buf, offset + _LEN.size, declared, "vector", last)
-
-
-def decode_vector(field: Field, buf: bytes) -> tuple:
-    """The vector that fills buf."""
-    return read_vector(field, buf, 0, last=True)[0]
+    return read_elements(field, buf, offset + _LEN.size, declared, "vector", end)
 
 
 def encode_matrix(a: MatrixZp) -> bytes:
@@ -281,11 +271,11 @@ def encode_matrix(a: MatrixZp) -> bytes:
 
 
 def read_matrix(field: Field, buf: bytes, offset: int = 0, shape: Optional[tuple] = None,
-                last: bool = False):
+                end: Optional[str] = None):
     """Decode one matrix at offset; returns (matrix, next_offset).
 
     Given shape (rows, cols), a matrix that declares another raises
-    DimensionMismatch ("RxC, expected RxC") before any entry is decoded; last
+    DimensionMismatch ("RxC, expected RxC") before any entry is decoded; end
     is as for read_elements.
     """
     if len(buf) < offset + _DIMS.size:
@@ -295,10 +285,5 @@ def read_matrix(field: Field, buf: bytes, offset: int = 0, shape: Optional[tuple
         raise MalformedEncoding(f"bad matrix dimensions {n_rows}x{n_cols}")
     if shape is not None and (n_rows, n_cols) != shape:
         raise DimensionMismatch(f"{n_rows}x{n_cols}, expected {shape[0]}x{shape[1]}")
-    flat, end = read_elements(field, buf, offset + _DIMS.size, n_rows * n_cols, "matrix", last)
-    return MatrixZp(field, split_rows(flat, n_rows, n_cols)), end
-
-
-def decode_matrix(field: Field, buf: bytes) -> MatrixZp:
-    """The matrix that fills buf."""
-    return read_matrix(field, buf, 0, last=True)[0]
+    flat, stop = read_elements(field, buf, offset + _DIMS.size, n_rows * n_cols, "matrix", end)
+    return MatrixZp(field, split_rows(flat, n_rows, n_cols)), stop

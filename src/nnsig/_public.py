@@ -13,8 +13,8 @@ from typing import NamedTuple
 from .errors import DimensionMismatch, MalformedEncoding, ParameterError
 from .field import Field, FrozenValue
 from ._packed import (
-    MatrixZp, PackedMatVec, encode_elements, encode_matrix, encode_vector, expect_end,
-    field_from_wire, read_elements, read_header, read_matrix, read_vector, vec_sub,
+    MatrixZp, PackedMatVec, encode_elements, encode_matrix, encode_vector, field_from_wire,
+    read_elements, read_header, read_matrix, read_vector, vec_sub,
 )
 
 PK_MAGIC = b"NNSIGPK1"
@@ -175,8 +175,7 @@ def parse_public_key(data: bytes) -> PublicKey:
     (p, n, l), off = read_header(data, PK_MAGIC, FORMAT_VERSION, "public-key", _PK_HEADER)
     field = field_from_wire(p)
     w_x_bar, off = read_matrix(field, data, off)
-    w_theta_bar, off = read_matrix(field, data, off)
-    expect_end(data, off, "public key")
+    w_theta_bar, _ = read_matrix(field, data, off, end="public key")
     try:
         return PublicKey(field=field, n=n, l=l, w_x_bar=w_x_bar, w_theta_bar=w_theta_bar)
     except (ParameterError, DimensionMismatch) as exc:
@@ -199,8 +198,7 @@ def parse_signature(data: bytes, field: Field) -> Signature:
     (n,), off = read_header(data, SIG_MAGIC, FORMAT_VERSION, "signature", _SIG_HEADER)
     if n < 2:
         raise MalformedEncoding(f"bad signature length n={n}")
-    flat, off = read_elements(field, data, off, 2 * n, "signature")
-    expect_end(data, off, "signature")
+    flat, _ = read_elements(field, data, off, 2 * n, "signature", end="signature")
     return Signature(sigma0=flat[:n], sigma1=flat[n:])
 
 
@@ -210,6 +208,4 @@ def encode_theta(field: Field, theta) -> bytes:
 
 def decode_theta(field: Field, data: bytes) -> tuple:
     _, off = read_header(data, THETA_MAGIC, None, "theta")
-    vec, off = read_vector(field, data, off)
-    expect_end(data, off, "theta vector")
-    return vec
+    return read_vector(field, data, off, end="theta vector")[0]

@@ -42,8 +42,9 @@ Every fixed-width integer run, in a format or a packed kernel, goes through
 ``encode_elements`` and ``read_elements``, and rows are cut from a flat run
 by ``split_rows``; every file starts with a magic (and, except the theta
 file, a version byte) and its fixed header fields, checked and unpacked by
-``read_header``, and ends where ``expect_end`` says; a modulus read from a
-file becomes a ``Field`` through ``field_from_wire``.
+``read_header``, and its last run, read with ``end=``, refuses trailing
+bytes; a modulus read from a file becomes a ``Field`` through
+``field_from_wire``.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from ._packed import (
 )
 # Read here only from outside src: by tests, perfbench/tracing.py's TRACED table and CI.
 from ._packed import (  # noqa: F401
-    PackedMatVec, decode_matrix, decode_uints, decode_vector, encode_matrix, encode_uints,
-    encode_vector, mat_vec, read_matrix, read_vector, vec_add, vec_mat, vec_sub,
+    PackedMatVec, decode_uints, encode_matrix, encode_uints, encode_vector, mat_vec, read_matrix,
+    read_vector, vec_add, vec_mat, vec_sub,
 )
 
 

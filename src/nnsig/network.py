@@ -23,7 +23,7 @@ from .errors import DimensionMismatch, MalformedEncoding, ParameterError, Singul
 from .field import Field, FrozenValue, _sub_rng, tally
 from .matrix import det, mat_inv, scaled_chain
 from ._packed import (
-    MatrixZp, encode_matrix, encode_vector, expect_end, field_from_wire, mat_vec, read_header,
+    MatrixZp, encode_matrix, encode_vector, field_from_wire, mat_vec, read_header,
     read_matrix, read_vector, vec_add, vec_sub,
 )
 
@@ -219,8 +219,7 @@ def decode_shared_setup(data: bytes) -> Tuple[SynapticWeights, tuple]:
     (p, n), off = read_header(data, SETUP_MAGIC, SETUP_VERSION, "shared-setup", _SETUP_HEADER)
     field = field_from_wire(p)
     w, off = read_matrix(field, data, off)
-    q, off = read_vector(field, data, off)
-    expect_end(data, off, "shared setup")
+    q, _ = read_vector(field, data, off, end="shared setup")
     if len(q) != n or w.n_rows != n or w.n_cols != n:
         raise MalformedEncoding("shared-setup dimensions are inconsistent")
     try:

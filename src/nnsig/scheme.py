@@ -52,7 +52,7 @@ from .field import Field, Value, system_rng
 from .matrix import PermutationMatrix, mat_inv, mat_pow
 from .network import AttentionSchedule, NetworkConfig, SynapticWeights, build_network, unroll
 from ._packed import (
-    MatrixZp, decode_uints, encode_elements, encode_uints, expect_end, field_from_wire, mat_vec,
+    MatrixZp, decode_uints, encode_elements, encode_uints, field_from_wire, mat_vec,
     read_elements, read_header, split_rows, vec_sub,
 )
 from ._public import FORMAT_VERSION, PublicKey, Signature, _check_split, hash_to_field
@@ -228,8 +228,7 @@ def parse_secret_key(data: bytes) -> SecretKey:
         raise MalformedEncoding("nonzero padding bits after the secret-key weights")
     entry = {"0": 1, "1": p - 1}.__getitem__
     weights = map(entry, format(bits, f"0{n * n}b")[::-1])
-    flat, off = read_elements(field, data, weights_end, rho * n, "schedule")
-    expect_end(data, off, "secret key")
+    flat, _ = read_elements(field, data, weights_end, rho * n, "schedule", end="secret key")
     try:
         return SecretKey(
             field=field, n=n, l=l, l_x=PermutationMatrix(idx[:n]),

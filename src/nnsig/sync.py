@@ -115,8 +115,8 @@ def wire_decode(data: bytes, field: Field, n: Optional[int] = None) -> SyncMessa
         raise MalformedFrame("trailing bytes after frame")
     try:
         if tag == TAG_DH_MATRIX:
-            return DhMatrixMessage(read_matrix(field, data, _HDR.size, n and (n, n), last=True)[0])
-        return PublicVectorMessage(field, read_vector(field, data, _HDR.size, n, last=True)[0])
+            return DhMatrixMessage(read_matrix(field, data, _HDR.size, n and (n, n), end="matrix")[0])
+        return PublicVectorMessage(field, read_vector(field, data, _HDR.size, n, end="vector")[0])
     except MalformedEncoding as exc:
         raise MalformedFrame(f"bad frame payload: {exc}") from exc
 

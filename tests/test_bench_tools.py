@@ -41,3 +41,18 @@ def test_cli_child_times_every_row():
                             "params", "attack"]
     for times in (*stages.values(), result["calibration"]):
         assert len(times) == 1 and times[0] > 0
+
+
+def test_stage_rows_report_the_per_pair_ratios():
+    bench_pairs = _bench_pairs()
+    scale = {"parent": 1.0, "change": 0.5}
+
+    def run(checkout):
+        return {"p=7,n=2": {"stages": {"sign": [scale[checkout] * s for s in (1, 2, 3)]},
+                            "calibration": [1.0, 1.0, 1.0]}}
+
+    rows = bench_pairs.stage_rows({"parent": "parent", "change": "change"}, run, "test")
+    ratio = rows["p=7,n=2"]["sign"]["pair_ratio"]
+    assert ratio["runs"] == [0.5] * bench_pairs.PAIRS
+    assert ratio["median"] == ratio["q1"] == ratio["q3"] == 0.5
+    assert ratio["change_wins"] == bench_pairs.PAIRS

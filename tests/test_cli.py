@@ -492,6 +492,16 @@ def test_params_refuses_p_bits_above_the_limit(monkeypatch, capsys):
     assert error["error"] == "parameter" and "limit of 1024" in error["message"]
 
 
+def test_params_refuses_n_above_the_limit(monkeypatch, capsys):
+    def estimated(*args):
+        raise AssertionError(f"estimated {args}")
+
+    monkeypatch.setattr("nnsig.hardness.estimate", estimated)
+    assert main(["params", "--n", str(2**20 + 1), "--p", "257", "--json"]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "parameter" and "limit of 1048576" in error["message"]
+
+
 def test_params_human_output(capsys):
     assert main(["params", "--n", "128", "--p-bits", "128", "--level", "128"]) == 0
     out = capsys.readouterr().out

@@ -285,6 +285,29 @@ def test_every_prefix_and_one_extra_byte_raise_malformed_encoding(kind):
         parse(blob + b"\x00")
 
 
+# The name each file parser gives its end of input in "trailing bytes after <name>".
+END_NAMES = {
+    "public-key": "public key",
+    "secret-key": "secret key",
+    "signature": "signature",
+    "theta": "theta vector",
+    "shared-setup": "shared setup",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_BLOBS))
+def test_trailing_bytes_are_refused_before_the_last_run_is_decoded(kind):
+    """A last entry of 0xFFFF (out of range at p=257) followed by one extra
+    byte reports the extra byte: the end check runs before any entry of the
+    file's last run is decoded."""
+    blob, parse = EDGE_BLOBS[kind]
+    bad_last = blob[:-2] + b"\xff\xff"
+    with pytest.raises(MalformedEncoding, match="entry 65535 out of range"):
+        parse(bad_last)
+    with pytest.raises(MalformedEncoding, match=f"^trailing bytes after {END_NAMES[kind]}$"):
+        parse(bad_last + b"\x00")
+
+
 def test_secret_key_padding_bits_are_rejected():
     _, sk = keygen(NetworkConfig(n=26, field=FIELD, rho=3, seed=b"pad"), random.Random(12))
     blob = bytearray(serialize_secret_key(sk))

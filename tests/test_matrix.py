@@ -13,8 +13,6 @@ from nnsig.field import Field
 from nnsig.matrix import (
     MatrixZp,
     PermutationMatrix,
-    decode_matrix,
-    decode_vector,
     det,
     diag_from_vector,
     encode_matrix,
@@ -29,6 +27,8 @@ from nnsig.matrix import (
     mat_vec,
     random_invertible,
     random_matrix,
+    read_matrix,
+    read_vector,
     vec_add,
     vec_mat,
     vec_sub,
@@ -215,34 +215,34 @@ def test_matrix_codec_roundtrip(f257):
     rng = random.Random(12)
     for _ in range(20):
         m = random_matrix(f257, rng.randrange(1, 5), rng.randrange(1, 5), rng)
-        assert decode_matrix(f257, encode_matrix(m)) == m
+        assert read_matrix(f257, encode_matrix(m), end="matrix")[0] == m
 
 
 def test_vector_codec_roundtrip():
     f = Field((1 << 61) - 1)
     rng = random.Random(13)
     v = tuple(rng.randrange(f.p) for _ in range(9))
-    assert decode_vector(f, encode_vector(f, v)) == v
+    assert read_vector(f, encode_vector(f, v), end="vector")[0] == v
 
 
 def test_matrix_codec_rejects_corruption(f257):
     blob = encode_matrix(identity(f257, 3))
     with pytest.raises(MalformedEncoding):
-        decode_matrix(f257, blob[:-1])  # truncated payload
+        read_matrix(f257, blob[:-1], end="matrix")  # truncated payload
+    with pytest.raises(MalformedEncoding, match="trailing bytes after matrix"):
+        read_matrix(f257, blob + b"\x00", end="matrix")  # trailing junk
     with pytest.raises(MalformedEncoding):
-        decode_matrix(f257, blob + b"\x00")  # trailing junk
-    with pytest.raises(MalformedEncoding):
-        decode_matrix(f257, blob[:3])  # truncated header
+        read_matrix(f257, blob[:3], end="matrix")  # truncated header
     # entry out of range: 257 <= value < 2^16
     bad = blob[:8] + (500).to_bytes(2, "little") + blob[10:]
     with pytest.raises(MalformedEncoding):
-        decode_matrix(f257, bad)
+        read_matrix(f257, bad, end="matrix")
 
 
 def test_vector_codec_rejects_oversized_length(f257):
     blob = (1 << 24).to_bytes(4, "little")
     with pytest.raises(MalformedEncoding):
-        decode_vector(f257, blob)
+        read_vector(f257, blob, end="vector")
 
 
 def test_mat_add_and_shapes(f7):
@@ -307,9 +307,9 @@ def test_element_codec_roundtrip_at_a_three_byte_modulus():
     v = tuple([0, 1, 65538] + [rng.randrange(65539) for _ in range(40)])
     blob = encode_vector(field, v)
     assert len(blob) == 4 + 3 * len(v)
-    assert decode_vector(field, blob) == v
+    assert read_vector(field, blob, end="vector")[0] == v
     a = random_matrix(field, 3, 5, rng)
-    assert decode_matrix(field, encode_matrix(a)) == a
+    assert read_matrix(field, encode_matrix(a), end="matrix")[0] == a
     over = blob[:-3] + (65539).to_bytes(3, "little")
     with pytest.raises(MalformedEncoding):
-        decode_vector(field, over)
+        read_vector(field, over, end="vector")

@@ -19,7 +19,9 @@ ROADMAP's four parameter sets, timed in a child interpreter per checkout, again
 alternating, in milliseconds and in runs of perfbench's calibration kernel;
 and a table of CLI children (a bare interpreter, ``import nnsig``, ``nnsig
 --help``, keygen, a sync pair, sign, verify, params and attack) at
-perfbench's CLI parameter set, timed the same way.  Standard library only.
+perfbench's CLI parameter set, timed the same way.  Each stage row also
+gives the spread of the per-pair ratios of the change's median to the
+parent's.  Standard library only.
 """
 
 from __future__ import annotations
@@ -68,15 +70,17 @@ def child(table, repeats: int, sets) -> None:
     and print {key: {"stages": {stage: [seconds, ...]}, "calibration": [seconds, ...]}},
     where the table returns (key, {stage: seconds}) for repeat k.
 
-    The child runs on one CPU, as perfbench/run.py does.  Repeat 0 of each set
-    is an untimed warm-up: the first pass through the set-up path runs slower
-    than the rest, and kept among the samples it widened the quartiles.
+    The child runs on one CPU, through perfbench/run.py's ``pin_to_one_cpu``.
+    Repeat 0 of each set is an untimed warm-up: the first pass through the
+    set-up path runs slower than the rest, and kept among the samples it
+    widened the quartiles.
     Calibration is the median time of perfbench's calibration kernel, run
     CAL_RUNS times before and after a repeat's stages.
     """
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     from harness import calibration_kernel
+    from run import pin_to_one_cpu
+
+    pin_to_one_cpu()
 
     def calibrate():
         times = []
@@ -293,7 +297,10 @@ def spread(runs) -> dict:
 
 UNITS = {"ms": "milliseconds",
          "cal": "runs of perfbench's calibration kernel (harness.calibration_kernel), "
-                "the median of 6 runs around the same repeat"}
+                "the median of 6 runs around the same repeat",
+         "pair_ratio": "per pair, the change's median in cal over the parent's median in "
+                       "cal; the median and quartiles of those ratios, the ratios themselves, "
+                       "and the number of pairs whose ratio is below 1"}
 
 
 def compare(parent, change, lower_is_better: bool) -> dict:
@@ -325,6 +332,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.workdir.resolve().is_relative_to(ROOT):
         parser.error("--workdir must lie outside the repository")
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import cpu_model
 
     parent_dir, change_dir = args.workdir / "parent", args.workdir / "change"
     shutil.rmtree(parent_dir, ignore_errors=True)
@@ -376,7 +385,7 @@ def main(argv=None) -> int:
                    "src_tree": git("rev-parse", f"{parent_commit}:src", text=True).stdout.strip()},
         "change": {"commit": "the commit that adds this file", "src_tree": change_tree},
         "python": platform.python_version(),
-        "cpu": _cpu_model(),
+        "cpu": cpu_model(),
         "nproc": os.cpu_count(),
         "workloads": workloads,
         "layers": layer_table(dirs),
@@ -390,27 +399,36 @@ def main(argv=None) -> int:
 
 def stage_rows(dirs: dict, run, label: str) -> dict:
     """Median, quartiles and change of each stage that ``run(checkout)`` times,
-    in milliseconds and in runs of perfbench's calibration kernel timed next to it."""
+    in milliseconds and in runs of perfbench's calibration kernel timed next to it;
+    and the spread of the per-pair ratios of the change's median to the parent's,
+    in calibration units, with the number of pairs the change won."""
     samples = {"parent": {}, "change": {}}
     for k in range(PAIRS):
         for side, checkout in alternate(k, *dirs.values()):
             for key, result in run(checkout).items():
                 for stage, seconds in result["stages"].items():
-                    cell = samples[side].setdefault(key, {}).setdefault(stage, {"ms": [], "cal": []})
+                    cell = samples[side].setdefault(key, {}).setdefault(
+                        stage, {"ms": [], "cal": [], "pair_cal": []})
+                    cal = list(map(operator.truediv, seconds, result["calibration"]))
                     cell["ms"].extend(1e3 * s for s in seconds)
-                    cell["cal"].extend(map(operator.truediv, seconds, result["calibration"]))
+                    cell["cal"].extend(cal)
+                    cell["pair_cal"].append(statistics.median(cal))
             print(f"{label} pair {k} {side} done", file=sys.stderr, flush=True)
     rows = {}
     for key, stages in samples["parent"].items():
         rows[key] = {}
         for stage, before in stages.items():
+            after = samples["change"][key][stage]
             rows[key][stage] = {}
             for unit in ("ms", "cal"):
-                cell = compare(before[unit], samples["change"][key][stage][unit], True)
+                cell = compare(before[unit], after[unit], True)
                 for side in ("parent", "change"):
                     cell[side] = {k: v for k, v in cell[side].items() if k != "runs"}
                 del cell["change_wins"]  # repeats within a pair are not paired samples
                 rows[key][stage][unit] = cell
+            ratios = list(map(operator.truediv, after["pair_cal"], before["pair_cal"]))
+            rows[key][stage]["pair_ratio"] = {**spread(ratios),
+                                              "change_wins": sum(r < 1 for r in ratios)}
     return rows
 
 
@@ -447,17 +465,6 @@ def cli_table(dirs: dict) -> dict:
         "units": UNITS,
         "stages": stage_rows(dirs, run_cli, "cli"),
     }
-
-
-def _cpu_model():
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or None
 
 
 if __name__ == "__main__":
