@@ -48,7 +48,7 @@ _PUBLIC = {  # each public name under the module that defines it, its __module__
     ),
     "field": ("Field", "OpCounter", "count_ops", "is_prime"),
     "_packed": ("MatrixZp",),
-    "matrix": ("PermutationMatrix",),
+    "matrix": ("PermutationMatrix", "from_rows"),
     "network": (
         "AttentionSchedule", "NetworkConfig", "SynapticWeights", "UnrolledMaps", "binarize",
         "build_network", "evolve_iterative", "forward", "generate_attention", "invert",

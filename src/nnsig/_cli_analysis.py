@@ -10,7 +10,9 @@ from .cli import EXIT_OK, _emit_json, _master_seed, _net_seed, _rng_for, _say
 from .errors import LimitExceeded, ParameterError
 from .field import Field, is_prime
 
-# Upper bound on params --p-bits: the prime search below 2^bits takes seconds above it.
+# Upper bound on params --p-bits and on the bit length of --p: the prime search
+# below 2^bits takes seconds above it, and one Miller-Rabin round about 7 s at
+# the 14,000 bits argparse's int accepts.
 MAX_P_BITS = 1024
 # Upper bound on params --n: the estimates loop n times, 0.1 s at 2^20.
 MAX_PARAMS_N = 1 << 20
@@ -20,6 +22,8 @@ def _resolve_params_p(args) -> int:
     if (args.p is None) == (args.p_bits is None):
         raise ParameterError("pick exactly one of --p or --p-bits")
     if args.p is not None:
+        if args.p.bit_length() > MAX_P_BITS:
+            raise LimitExceeded(f"--p has {args.p.bit_length()} bits, above the limit of {MAX_P_BITS}")
         if not is_prime(args.p):
             raise ParameterError(f"p={args.p} is not prime")
         return args.p

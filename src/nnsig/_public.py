@@ -81,7 +81,7 @@ class PublicKey(FrozenValue):
     rows verification reads, are packed once; ``_bias`` memoises ``_bias_entry``."""
 
     _fields = ("field", "n", "l", "w_x_bar", "w_theta_bar")
-    _bias = None
+    _bias = _sign_mat = None
 
     def __init__(self, field: Field, n: int, l: int, w_x_bar: MatrixZp,
                  w_theta_bar: MatrixZp) -> None:
@@ -96,6 +96,14 @@ class PublicKey(FrozenValue):
     def theta_bias(self, theta) -> tuple:
         """Wbar_theta @ theta, memoised for the last theta."""
         return self._bias_entry(theta)[1]
+
+    def signing_matrix(self) -> MatrixZp:
+        """Wbar_x^{-1}, which ``scheme.sign_with`` applies; public, inverted once."""
+        if self._sign_mat is None:
+            from .matrix import mat_inv  # here, so the verify path never loads matrix
+
+            object.__setattr__(self, "_sign_mat", mat_inv(self.w_x_bar))
+        return self._sign_mat
 
     def _bias_entry(self, theta) -> tuple:
         """``(theta, bias, packed)`` for the last theta: ``packed`` holds the

@@ -4,10 +4,12 @@ and parameter estimates.
 Given an invertible matrix A over Z_p and B = L @ A^a for a hidden row
 permutation L and exponent a, recover (a, L).  Exhaustive search costs
 (p-1) * n! matrix comparisons on top of the incremental powers.  The
-security estimate counts exhaustive search only, and cheaper attacks exist:
+security estimate counts exhaustive search only, and cheaper attacks exist.
+The signing equation, ``scheme.sign_with``, reads only the public key and a
+bias, and one signature gives away every bias entry verification reads, so
 one signature and the public key forge any message without theta
-(``tests/test_scheme.py::test_forgery_from_one_signature_without_theta``),
-and det(B) = +-det(A)^a reduces the instance to a discrete log in Z_p^*
+(``tests/test_scheme.py::test_forgery_from_one_signature_without_theta``).
+And det(B) = +-det(A)^a reduces the instance to a discrete log in Z_p^*
 (Menezes & Wu, "The discrete logarithm problem in GL(n, q)", 1997).  The
 one solver here, ``brute_force_solve``, runs that exhaustive search as a
 reference oracle and is guardrailed to toy sizes.
@@ -69,13 +71,6 @@ def make_instance(n: int, field: Field, rng) -> Tuple[MatrixPowerInstance, Matri
         MatrixPowerInstance(a_mat=a_mat, b_mat=b_mat),
         MatrixPowerSolution(exponent=exponent, perm=perm),
     )
-
-
-def verify_solution(instance: MatrixPowerInstance, solution: MatrixPowerSolution) -> bool:
-    from .matrix import mat_pow
-
-    candidate = solution.perm.permute_rows(mat_pow(instance.a_mat, solution.exponent))
-    return candidate.rows == instance.b_mat.rows
 
 
 def _check_limits(n: int, p: int, n_limit: int, p_limit: int) -> None:

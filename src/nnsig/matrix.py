@@ -84,14 +84,6 @@ def is_identity(a: MatrixZp) -> bool:
     return a.n_cols == n and all(r[i] == 1 and r.count(0) == n - 1 for i, r in enumerate(a.rows))
 
 
-def diag_from_vector(field: Field, v) -> MatrixZp:
-    """Diagonal matrix with v on the diagonal."""
-    n = len(v)
-    return MatrixZp(
-        field, tuple(tuple(v[i] % field.p if i == j else 0 for j in range(n)) for i in range(n))
-    )
-
-
 def random_matrix(field: Field, n_rows: int, n_cols: int, rng) -> MatrixZp:
     p = field.p
     return MatrixZp(
@@ -141,18 +133,6 @@ def mat_mul(a: MatrixZp, b: MatrixZp) -> MatrixZp:
     width = _slot_width(p, a.n_cols)
     out = _product(a.rows, [_pack(row, width) for row in b.rows], b.n_cols, width, p)
     _tally_product(a.n_rows, a.n_cols, b.n_cols)
-    return MatrixZp(a.field, out)
-
-
-def mat_add(a: MatrixZp, b: MatrixZp) -> MatrixZp:
-    _same_field(a, b)
-    if a.n_rows != b.n_rows or a.n_cols != b.n_cols:
-        raise DimensionMismatch("matrix addition needs equal shapes")
-    p = a.field.p
-    out = tuple(
-        tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)
-    )
-    tally(adds=a.n_rows * a.n_cols)
     return MatrixZp(a.field, out)
 
 

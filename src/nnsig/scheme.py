@@ -4,17 +4,18 @@ Key generation unrolls a seeded binary-weight network into (w_x, w_theta),
 then masks both with secret row permutations and matrix powers:
 ``Wbar_x = L_x @ w_x^a`` and ``Wbar_theta = L_theta @ w_theta^b``.  Signing
 embeds the message digest in the tail of two preimage vectors and pulls them
-back through ``Wbar_x^{-1} = w_x^{-a} @ L_x^{-1}``, inverted once per key;
-verification pushes the signature through only the rows of the public map
-that hold the digest tails and compares them.  The public key packs
-(``_packed.PackedMatVec``) ``Wbar_theta`` and the rows of ``Wbar_x`` that
-verification reads once, when it is built, and keeps one memo entry for the
-last theta either side asked it for: the bias ``Wbar_theta @ theta`` and its
-tail rows packed in the slots of the ``Wbar_x`` tail product, so a new theta
-costs one packed product and one pack; the signer reads its bias through its
-own public key.  Each verification half is then one packed pass: products
-and bias are summed in one big int, unpacked and reduced once.  These
-attributes stay out of ``==`` and ``repr``.
+back through ``Wbar_x^{-1} = w_x^{-a} @ L_x^{-1}``, inverted once per key and
+memoised on the public key; ``sign_with``, which reads nothing secret, holds
+that equation.  Verification pushes the signature through only the rows of
+the public map that hold the digest tails and compares them.  The public key
+packs (``_packed.PackedMatVec``) ``Wbar_theta`` and the rows of ``Wbar_x``
+that verification reads once, when it is built, and keeps one memo entry for
+the last theta either side asked it for: the bias ``Wbar_theta @ theta`` and
+its tail rows packed in the slots of the ``Wbar_x`` tail product, so a new
+theta costs one packed product and one pack; the signer reads its bias
+through its own public key.  Each verification half is then one packed pass:
+products and bias are summed in one big int, unpacked and reduced once.
+These attributes stay out of ``==`` and ``repr``.
 
 Verification adds the bias term after applying the public map — the variant
 that subtracts it first (kept behind ``literal_form=True``) does not invert
@@ -49,7 +50,7 @@ from typing import Optional, Tuple
 
 from .errors import DimensionMismatch, MalformedEncoding, ParameterError
 from .field import Field, Value, system_rng
-from .matrix import PermutationMatrix, mat_inv, mat_pow
+from .matrix import PermutationMatrix, mat_pow
 from .network import AttentionSchedule, NetworkConfig, SynapticWeights, build_network, unroll
 from ._packed import (
     MatrixZp, decode_uints, encode_elements, encode_uints, field_from_wire, mat_vec,
@@ -76,7 +77,7 @@ class SecretKey(Value):
     """
 
     _fields = ("field", "n", "l", "l_x", "l_theta", "a", "b", "weights", "schedule")
-    _public = _sign_mat = None
+    _public = None
 
     def __init__(self, field: Field, n: int, l: int, l_x: PermutationMatrix,
                  l_theta: PermutationMatrix, a: int, b: int,
@@ -112,14 +113,8 @@ class SecretKey(Value):
         return self._public
 
     def signing_matrix(self) -> MatrixZp:
-        """Wbar_x^{-1} = w_x^{-a} @ L_x^{-1}; cached across signatures.
-
-        It is the inverse of a public matrix: anyone holding the public key
-        can compute it (see the README caveats).
-        """
-        if self._sign_mat is None:
-            self._sign_mat = mat_inv(self.public_key().w_x_bar)
-        return self._sign_mat
+        """Wbar_x^{-1}, memoised on the public key (``PublicKey.signing_matrix``)."""
+        return self.public_key().signing_matrix()
 
 
 def derive_keypair(
@@ -164,13 +159,14 @@ def keygen(
 # --- sign -------------------------------------------------------------------
 
 
-def sign(
-    sk: SecretKey,
-    theta,
+def sign_with(
+    pk: PublicKey,
+    bias,
     message: bytes,
     rng: Optional[random.Random] = None,
 ) -> Signature:
-    """Sign a message under the synchronized bias vector theta.
+    """The signing equation ``sigma_i = Wbar_x^{-1} @ (x_i - bias)``, on public
+    inputs only; ``sign`` passes the full-length bias ``Wbar_theta @ theta``.
 
     Randomizer sampling order is part of the contract (tests replay it):
     first the n-l entries of r0, then the l entries of r1, each in index
@@ -178,7 +174,7 @@ def sign(
     operating system's CSPRNG: anyone holding the public key and theta can
     recover them, and enough Mersenne Twister outputs give away its state.
     """
-    n, l, field = sk.n, sk.l, sk.field
+    n, l, field = pk.n, pk.l, pk.field
     rng = rng or system_rng()
     h = hash_to_field(message, n, field)
     h0, h1 = h[:l], h[l:]
@@ -186,11 +182,22 @@ def sign(
     r1 = field.sample_vector(rng, l)
     x0 = r0 + h0
     x1 = r1 + h1
-    bias = sk.public_key().theta_bias(theta)
-    s_mat = sk.signing_matrix()
+    s_mat = pk.signing_matrix()
     sigma0 = mat_vec(s_mat, vec_sub(field, x0, bias))
     sigma1 = mat_vec(s_mat, vec_sub(field, x1, bias))
     return Signature(sigma0=sigma0, sigma1=sigma1)
+
+
+def sign(
+    sk: SecretKey,
+    theta,
+    message: bytes,
+    rng: Optional[random.Random] = None,
+) -> Signature:
+    """Sign a message under the synchronized bias vector theta: ``sign_with``
+    under the key's public key and the bias ``Wbar_theta @ theta``."""
+    pk = sk.public_key()
+    return sign_with(pk, pk.theta_bias(theta), message, rng)
 
 
 # --- serialization ----------------------------------------------------------

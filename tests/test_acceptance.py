@@ -29,7 +29,7 @@ from nnsig.hardness import (
     make_instance,
     quantum_security_ok,
 )
-from nnsig.matrix import encode_matrix, mat_add, mat_pow, mat_vec, vec_add, vec_mat
+from nnsig.matrix import encode_matrix, mat_pow, vec_add, vec_mat
 from nnsig.metrics import (
     REPORTED_PROFILES,
     discrepancies,
@@ -65,6 +65,7 @@ from nnsig.sync import (
     wire_decode,
     wire_encode,
 )
+from oracles import mat_add
 
 P128 = 2**128 - 159
 

@@ -492,6 +492,19 @@ def test_params_refuses_p_bits_above_the_limit(monkeypatch, capsys):
     assert error["error"] == "parameter" and "limit of 1024" in error["message"]
 
 
+def test_params_refuses_p_above_the_limit_before_testing_it(monkeypatch, capsys):
+    def tested(candidate):
+        raise AssertionError(f"tested {candidate.bit_length()} bits")
+
+    monkeypatch.setattr("nnsig._cli_analysis.is_prime", tested)
+    assert main(["params", "--n", "26", "--p", str(2**1024 + 1), "--json"]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "parameter", "exit": 1,
+                     "message": "--p has 1025 bits, above the limit of 1024"}
+    with pytest.raises(AssertionError, match="tested 1024 bits"):
+        main(["params", "--n", "26", "--p", str(2**1024 - 1)])
+
+
 def test_params_refuses_n_above_the_limit(monkeypatch, capsys):
     def estimated(*args):
         raise AssertionError(f"estimated {args}")

@@ -25,7 +25,8 @@ from nnsig.scheme import serialize_signature, sign
 
 PACKAGE = Path(nnsig.__file__).resolve().parent
 SUBMODULES = ("errors", "field", "hardness", "matrix", "metrics", "network", "scheme", "sync")
-# The 63 public names of the package before its submodules loaded lazily.
+# The 63 public names of the package before its submodules loaded lazily, and
+# from_rows, the matrix constructor that reduces entries.
 PUBLIC = (
     "AttentionSchedule DimensionMismatch Field InvalidStateError LengthOverflow LimitExceeded "
     "MalformedEncoding MalformedFrame MatrixPowerInstance MatrixPowerSolution MatrixZp "
@@ -33,7 +34,7 @@ PUBLIC = (
     "SecurityEstimate Signature SingularMatrixError SingularWeightsError SynapticWeights "
     "SyncConfig SyncSession UnknownTag UnrolledMaps UnsupportedVersion binarize "
     "brute_force_solve build_network classical_security_bits classical_security_ok count_ops "
-    "derive_keypair estimate evolve_iterative formula_sizes forward generate_attention "
+    "derive_keypair estimate evolve_iterative formula_sizes forward from_rows generate_attention "
     "hash_to_field instrumented_counts invert is_prime keygen keyspace_bits make_instance "
     "measured_sizes op_count_report parse_public_key parse_secret_key parse_signature "
     "quantum_security_ok run_over_socket run_pair serialize_public_key serialize_secret_key "
@@ -375,6 +376,36 @@ def test_every_relative_import_names_the_defining_module():
                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
                for alias in node.names if alias.name not in defined[node.module]]
     assert through == []
+
+
+def _names_read(tree) -> set:
+    """The names a module reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_every_module_level_name_is_read():
+    """Each def, class and constant at a package module's top level is read
+    by package code besides its definition, is public, is a dunder, is the
+    ``cmd_<command>`` handler of the module ``cli.COMMANDS`` gives for it, or
+    is read by the benchmark (its tracer names what it patches in strings):
+    no helper lives in the package for the tests alone."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    bench_dir = Path(__file__).resolve().parent.parent / "perfbench"
+    bench = [ast.parse(path.read_text()) for path in bench_dir.glob("*.py")]
+    assert bench
+    read = set().union(*map(_names_read, [*trees.values(), *bench]))
+    read |= {word for tree in bench for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             for word in node.value.split(".")}
+    handlers = {(home.rsplit(".", 1)[-1], f"cmd_{command}")
+                for command, (_, home, _) in cli.COMMANDS.items()}
+    unread = [f"{stem}.{name}" for stem, tree in sorted(trees.items())
+              for name in sorted(_defined_at_top_level(tree))
+              if name not in read and name not in nnsig.__all__ and (stem, name) not in handlers
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert unread == []
 
 
 def test_traced_names_resolve_on_their_modules():

@@ -21,9 +21,9 @@ from nnsig.hardness import (
     keyspace_bits,
     make_instance,
     quantum_security_ok,
-    verify_solution,
 )
 from nnsig.matrix import PermutationMatrix, from_rows
+from oracles import verify_solution
 
 P128 = 2**128 - 159
 

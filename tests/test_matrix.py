@@ -14,13 +14,11 @@ from nnsig.matrix import (
     MatrixZp,
     PermutationMatrix,
     det,
-    diag_from_vector,
     encode_matrix,
     encode_vector,
     from_rows,
     identity,
     is_identity,
-    mat_add,
     mat_inv,
     mat_mul,
     mat_pow,
@@ -33,6 +31,7 @@ from nnsig.matrix import (
     vec_mat,
     vec_sub,
 )
+from oracles import diag_from_vector, mat_add
 
 
 def test_is_identity_checks_every_entry(f7):

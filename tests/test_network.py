@@ -11,10 +11,8 @@ from nnsig.field import Field
 from nnsig.matrix import (
     MatrixZp,
     det,
-    diag_from_vector,
     from_rows,
     identity,
-    mat_add,
     mat_mul,
     mat_pow,
 )
@@ -33,6 +31,7 @@ from nnsig.network import (
     sigmoid,
     unroll,
 )
+from oracles import diag_from_vector, mat_add
 
 PRIMES_TO_97 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 

@@ -24,7 +24,6 @@ from nnsig.matrix import (
     PackedMatVec,
     PermutationMatrix,
     det,
-    mat_inv,
     mat_pow,
     mat_vec,
     vec_add,
@@ -44,6 +43,7 @@ from nnsig.scheme import (
     serialize_secret_key,
     serialize_signature,
     sign,
+    sign_with,
     verify,
 )
 from nnsig.sync import PublicVectorMessage, SyncConfig, SyncSession, run_pair, wire_decode
@@ -383,57 +383,63 @@ def test_literal_reconstruction_rejects_honest_signature():
 
 def test_linear_solve_passes_tail_check():
     # The acceptance predicate is linear in sigma once the public matrices are
-    # known, so inverting w_x_bar manufactures accepting vectors without the
-    # secret key.  This pins the case where the forger knows theta; the next
-    # test shows that one honest signature stands in for theta.
+    # known, so the signing kernel, which reads only the public key, signs
+    # without the secret key.  This pins the case where the forger knows
+    # theta; the next tests show that one honest signature stands in for it.
     pk, _ = _keypair(n=6)
-    field, n, l = pk.field, pk.n, pk.l
-    theta = _theta(field, n)
-    msg = b"probe"
-    h = hash_to_field(msg, n, field)
+    theta = _theta(pk.field, pk.n)
     bias = mat_vec(pk.w_theta_bar, theta)
-    inv = mat_inv(pk.w_x_bar)
-    rng = random.Random(6)
-    x0 = field.sample_vector(rng, n - l) + h[:l]
-    x1 = field.sample_vector(rng, l) + h[l:]
-    forged = Signature(
-        sigma0=mat_vec(inv, vec_sub(field, x0, bias)),
-        sigma1=mat_vec(inv, vec_sub(field, x1, bias)),
-    )
-    assert verify(pk, theta, msg, forged)
+    assert verify(pk, theta, b"probe", sign_with(pk, bias, b"probe", random.Random(6)))
 
 
-def test_forgery_from_one_signature_without_theta():
+# (p, n, l): both moduli of the benchmark sets, and splits with l < n-l, the
+# default l = n//2, and l > n-l.
+KERNEL_CASES = [(p, n, l) for p, n in ((257, 26), (257, 43), (2**61 - 1, 26))
+                for l in (1, n // 2, n - 1)]
+
+
+@pytest.mark.parametrize("p, n, l", KERNEL_CASES)
+def test_sign_is_the_kernel_under_the_theta_bias(p, n, l):
+    pk, sk = _keypair(p=p, n=n, rho=10, seed=b"kernel", rng_seed=n + l, l=l)
+    public = parse_public_key(serialize_public_key(pk))  # shares no memo with sk
+    theta = _theta(pk.field, n)
+    for k in range(3):
+        message = b"kernel message %d" % k
+        assert (sign_with(public, public.theta_bias(theta), message, random.Random(k))
+                == sign(sk, theta, message, random.Random(k)))
+
+
+@pytest.mark.parametrize("p, n, l", KERNEL_CASES)
+def test_forgery_from_one_signature_without_theta(p, n, l):
     # verify compares only tail rows, (W̄_x·σ0)[n−l:] + bias[n−l:] against h0
     # and (W̄_x·σ1)[l:] + bias[l:] against h1, so one honest signature gives
     # away exactly the bias entries verify reads.  The forger below holds the
-    # public key and one (message, signature) pair, never theta or the bias.
-    pk, sk = _keypair(p=257, n=43, rho=10, seed=b"forge", rng_seed=11)
-    field, n, l = pk.field, pk.n, pk.l
-    theta = _theta(field, n, seed=12)
+    # public key and one (message, signature) pair, never theta or the whole
+    # bias: the head of its bias is zero, which only shifts the random head
+    # of x, and the signing kernel does the rest.
+    pk, sk = _keypair(p=p, n=n, rho=10, seed=b"forge", rng_seed=n + l, l=l)
+    theta = _theta(pk.field, n, seed=12)
     honest = sign(sk, theta, b"an honest message", random.Random(13))
     assert verify(pk, theta, b"an honest message", honest)
 
+    public = parse_public_key(serialize_public_key(pk))
+    field = public.field
     h = hash_to_field(b"an honest message", n, field)
-    bias0 = vec_sub(field, h[:l], mat_vec(pk.w_x_bar, honest.sigma0)[n - l:])  # bias[n−l:]
-    bias1 = vec_sub(field, h[l:], mat_vec(pk.w_x_bar, honest.sigma1)[l:])  # bias[l:]
-    inv = mat_inv(pk.w_x_bar)
+    bias = [0] * n
+    bias[l:] = vec_sub(field, h[l:], mat_vec(public.w_x_bar, honest.sigma1)[l:])
+    bias[n - l:] = vec_sub(field, h[:l], mat_vec(public.w_x_bar, honest.sigma0)[n - l:])
     rng = random.Random(14)
     for k in range(20):
         message = b"forged message %d" % k
-        target = hash_to_field(message, n, field)
-        y0 = field.sample_vector(rng, n - l) + vec_sub(field, target[:l], bias0)
-        y1 = field.sample_vector(rng, l) + vec_sub(field, target[l:], bias1)
-        forged = Signature(sigma0=mat_vec(inv, y0), sigma1=mat_vec(inv, y1))
-        assert verify(pk, theta, message, forged)
+        assert verify(pk, theta, message, sign_with(public, bias, message, rng))
 
 
 def test_passive_eavesdropper_recovers_theta_and_signs():
     # theta = P_a + P_b, and both public vectors cross the wire in clear: an
     # eavesdropper on one sync reads theta off the transcript, and with the
-    # public key alone (the signing matrix is mat_inv(W̄_x)) signs anything.
+    # public key alone signs anything through the signing kernel.
     pk, sk = _keypair(p=257, n=26, rho=10, seed=b"eavesdrop", rng_seed=21)
-    field, n, l = pk.field, pk.n, pk.l
+    field, n = pk.field, pk.n
     config = SyncConfig(weights=sk.weights, q=_theta(field, n, seed=22))
     a = SyncSession.create(config, random.Random(23))
     b = SyncSession.create(config, random.Random(24))
@@ -443,14 +449,8 @@ def test_passive_eavesdropper_recovers_theta_and_signs():
     theta = vec_add(field, shares[0].vector, shares[1].vector)
     assert theta == theta_a == theta_b
 
-    inv, bias = mat_inv(pk.w_x_bar), pk.theta_bias(theta)
     message = b"never signed by the key owner"
-    h = hash_to_field(message, n, field)
-    rng = random.Random(25)
-    x0 = field.sample_vector(rng, n - l) + h[:l]
-    x1 = field.sample_vector(rng, l) + h[l:]
-    forged = Signature(sigma0=mat_vec(inv, vec_sub(field, x0, bias)),
-                       sigma1=mat_vec(inv, vec_sub(field, x1, bias)))
+    forged = sign_with(pk, pk.theta_bias(theta), message, random.Random(25))
     assert verify(pk, theta, message, forged)
 
 

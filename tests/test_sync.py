@@ -25,7 +25,6 @@ from nnsig.matrix import (
     encode_vector,
     from_rows,
     identity,
-    mat_add,
     mat_pow,
     vec_add,
     vec_mat,
@@ -51,6 +50,7 @@ from nnsig.sync import (
     wire_decode,
     wire_encode,
 )
+from oracles import mat_add
 
 
 def _setup(p=257, n=6, seed=b"sync", q_seed=21, u=2):

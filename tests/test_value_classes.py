@@ -91,12 +91,13 @@ CASES = {
                        memos=("base_powers",), touch=lambda c: c.base_powers,
                        bad=(lambda: SyncConfig(WEIGHTS, (1, 2, 3, 4), u=0), ParameterError)),
     "PublicKey": Case(lambda: parse_public_key(PK_BLOB), lambda: OTHER_PK,
-                      memos=("_bias", "_first", "_tail", "_theta_product"),
-                      touch=lambda pk: verify(pk, THETA, b"m", Signature((0,) * 4, (0,) * 4)),
+                      memos=("_bias", "_first", "_sign_mat", "_tail", "_theta_product"),
+                      touch=lambda pk: (verify(pk, THETA, b"m", Signature((0,) * 4, (0,) * 4)),
+                                        pk.signing_matrix()),
                       bad=(lambda: PublicKey(FIELD, 4, 4, _pk.w_x_bar, _pk.w_theta_bar),
                            ParameterError)),
     "SecretKey": Case(lambda: parse_secret_key(SK_BLOB), lambda: OTHER_SK,
-                      memos=("_public", "_sign_mat"),
+                      memos=("_public",),
                       touch=lambda sk: sign(sk, THETA, b"m", random.Random(1)), mutable=True),
     "SyncSession": Case(lambda: SyncSession(SYNC, 3, (1, 2)), lambda: SyncSession(SYNC, 3, (1, 3)),
                         memos=("_dh_share",),
