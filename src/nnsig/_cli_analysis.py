@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import time
 
-from .cli import EXIT_OK, _emit_json, _master_seed, _net_seed, _rng_for, _say
+from .cli import EXIT_OK, _emit_json, _master_seed, _rng_for, _say
 from .errors import LimitExceeded, ParameterError
 from .field import Field, is_prime
 
@@ -92,23 +92,16 @@ def cmd_attack(args) -> int:
 def cmd_bench(args) -> int:
     from .metrics import (
         REPORTED_PROFILES,
+        _instrumented_run,
         discrepancies,
         formula_sizes,
-        instrumented_counts,
         measured_sizes,
         op_count_report,
     )
-    from .network import NetworkConfig
-    from .scheme import keygen, sign
 
     profile = formula_sizes(args.n, args.p, args.rho)
-    master = _master_seed(args)
-    field = Field(args.p)
-    config = NetworkConfig(n=args.n, field=field, rho=args.rho, seed=_net_seed(master))
-    rng = _rng_for(master, b"bench")
-    pk, sk = keygen(config, rng)
-    theta = field.sample_vector(rng, args.n)
-    signature = sign(sk, theta, b"bench message", rng)
+    _master_seed(args)  # bench's output does not depend on --seed, but a malformed one exits 1
+    instrumented, pk, sk, signature = _instrumented_run(args.n, args.p, args.rho)
     actual = measured_sizes(pk, sk, signature)
     ops = op_count_report(args.n, args.p)
     flagged = discrepancies(profile)
@@ -123,9 +116,7 @@ def cmd_bench(args) -> int:
     _say(args, "field operations (closed form):")
     _say(args, f"  sign {ops.sign_ops:.2f} | verify {ops.verify_ops} | "
                f"keygen ~ {ops.keygen_bound:.0f}")
-    instrumented = None
     if args.instrument:
-        instrumented = instrumented_counts(args.n, args.p, args.rho)
         _say(args, "field operations (instrumented tallies):")
         for phase in ("keygen", "sign", "verify"):
             _say(args, f"  {phase:<6s} {instrumented[phase]['total']}")
@@ -148,12 +139,7 @@ def cmd_bench(args) -> int:
             "sig_bits": profile.sig_bits,
             "hash_bits": profile.hash_bits,
         },
-        "measured": {
-            "pk_bytes": actual.pk_bytes,
-            "sk_bytes": actual.sk_bytes,
-            "sig_bytes": actual.sig_bytes,
-            "sig_bits": actual.sig_bits,
-        },
+        "measured": {**actual._asdict(), "sig_bits": actual.sig_bits},
         "ops": {
             "sign": ops.sign_ops,
             "verify": ops.verify_ops,
@@ -162,7 +148,7 @@ def cmd_bench(args) -> int:
         "reported": {f"{k[0]},{k[1]},{k[2]}": v for k, v in REPORTED_PROFILES.items()},
         "mismatches": flagged,
     }
-    if instrumented is not None:
+    if args.instrument:
         payload["instrumented"] = instrumented
     _emit_json(args, payload)
     return EXIT_OK

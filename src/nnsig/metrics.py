@@ -4,8 +4,9 @@ Two kinds of numbers live here and are deliberately kept apart:
 
 * closed-form predictions — key/signature sizes and field-operation counts
   as functions of (n, p, rho);
-* measurements — byte lengths of actually serialized objects and operation
-  tallies from running keygen/sign/verify under the thread-local counter.
+* measurements — byte lengths and operation tallies of one keygen/sign/verify
+  run under the thread-local counter, so ``nnsig bench`` describes one keypair
+  on a fixed seed, and its ``--seed`` changes nothing it prints.
 
 ``REPORTED_PROFILES`` pins previously published reference figures for three
 parameter sets so the report can show formula vs reported side by side; the
@@ -122,6 +123,12 @@ def instrumented_counts(n: int, p: int, rho: int, seed: bytes = b"instrumented",
     of the n compared rows (2n^2 - n) and their bias adds (n): 4n^2 - n in
     all, about 1.34 times the closed form 3n^2 - n at n = 8 and n = 26.
     """
+    return _instrumented_run(n, p, rho, seed, rng)[0]
+
+
+def _instrumented_run(n: int, p: int, rho: int, seed: bytes = b"instrumented",
+                      rng: Optional[random.Random] = None):
+    """``instrumented_counts``' tallies, then the pk, sk and signature they measured."""
     field = Field(p)
     config = NetworkConfig(n=n, field=field, rho=rho, seed=seed)
     rng = rng or random.Random(0xC0FFEE)
@@ -135,12 +142,13 @@ def instrumented_counts(n: int, p: int, rho: int, seed: bytes = b"instrumented",
     verifier_pk = parse_public_key(serialize_public_key(pk))
     with count_ops() as c_verify:
         ok = verify(verifier_pk, theta, message, signature)
-    return {
+    counts = {
         "accepted": ok,
         "keygen": c_key.as_dict(),
         "sign": c_sign.as_dict(),
         "verify": c_verify.as_dict(),
     }
+    return counts, pk, sk, signature
 
 
 def discrepancies(profile: SchemeProfile) -> dict:

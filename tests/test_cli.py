@@ -17,9 +17,10 @@ from pathlib import Path
 import pytest
 
 import nnsig
-from nnsig._cli_sync import _parse_endpoint
+from nnsig._cli_sync import MAX_U, _parse_endpoint
 from nnsig.cli import main
 from nnsig.errors import ParameterError
+from nnsig.metrics import measured_sizes
 
 
 @pytest.fixture(autouse=True)
@@ -241,6 +242,25 @@ def test_sync_flag_validation(tmp_path):
     assert main(["sync", "--config", setup, "--listen", "h:1", "--connect", "h:1"]) == 1
     assert main(["sync", "--config", setup, "--listen", "badendpoint"]) == 1
     assert main(["sync", "--config", setup, "--connect", "127.0.0.1:1", "--u", "0"]) == 1
+
+
+def test_sync_refuses_u_above_the_limit_before_creating_a_session(tmp_path, monkeypatch, capsys):
+    assert _keygen(tmp_path, extra=("--export-shared", str(tmp_path / "s.bin"))) == 0
+    capsys.readouterr()
+
+    def create(config, rng):
+        raise AssertionError(f"created a session with u={config.u}")
+
+    monkeypatch.setattr("nnsig.sync.SyncSession.create", create)
+    argv = ["sync", "--connect", "127.0.0.1:1", "--json", "--u"]
+    assert main(argv + [str(MAX_U + 1), "--config", str(tmp_path / "s.bin")]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "parameter", "exit": 1,
+                     "message": f"--u {MAX_U + 1} is above the limit of {MAX_U}"}
+    # Refused before the config file is read: a missing one is no i/o error.
+    assert main(argv + [str(MAX_U + 1), "--config", str(tmp_path / "missing.bin")]) == 1
+    with pytest.raises(AssertionError, match=f"u={MAX_U}$"):
+        main(argv + [str(MAX_U), "--config", str(tmp_path / "s.bin")])
 
 
 @pytest.mark.parametrize("mode", ["--listen", "--connect"])
@@ -565,6 +585,54 @@ def test_bench_clean_row_has_no_mismatches(capsys):
     assert main(["bench", "--p", "257", "--n", "33", "--rho", "10",
                  "--seed", "43", "--json"]) == 0
     assert _json_lines(capsys)[-1]["mismatches"] == {}
+
+
+def test_bench_instrument_derives_one_keypair(monkeypatch, capsys):
+    import nnsig.metrics
+    import nnsig.scheme
+
+    calls = []
+
+    def counted(*args, keygen=nnsig.scheme.keygen, **kwargs):
+        calls.append(args[0].n)
+        return keygen(*args, **kwargs)
+
+    # Every binding a bench child can reach keygen through: scheme's and metrics' own.
+    for home in (nnsig.scheme, nnsig.metrics):
+        monkeypatch.setattr(home, "keygen", counted)
+    assert main(["bench", "--n", "26", "--rho", "10", "--instrument"]) == 0
+    assert calls == [26]
+
+
+@pytest.mark.parametrize("instrument", [[], ["--instrument"]])
+def test_bench_prints_the_same_bytes_under_any_seed(capsys, instrument):
+    outputs = set()
+    for seed in (["--seed", "01"], ["--seed", "02"], []):
+        assert main(["bench", "--n", "26", "--rho", "10", "--json"] + instrument + seed) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+    # The seed changes nothing bench prints, but a malformed one is still refused.
+    assert main(["bench", "--n", "26", "--rho", "10", "--seed", "zz"] + instrument) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be a hex string")
+
+
+def test_bench_sizes_and_tallies_come_from_one_run(monkeypatch, capsys):
+    import nnsig.metrics
+
+    runs = []
+
+    def recorded(*args, run=nnsig.metrics._instrumented_run):
+        runs.append(run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(nnsig.metrics, "_instrumented_run", recorded)
+    assert main(["bench", "--n", "26", "--rho", "10", "--instrument", "--json"]) == 0
+    payload = _json_lines(capsys)[-1]
+    [(counts, pk, sk, signature)] = runs
+    sizes = measured_sizes(pk, sk, signature)
+    assert payload["measured"] == {"pk_bytes": sizes.pk_bytes, "sk_bytes": sizes.sk_bytes,
+                                   "sig_bytes": sizes.sig_bytes, "sig_bits": sizes.sig_bits}
+    assert payload["instrumented"] == counts
 
 
 def test_module_entry_point(tmp_path):
