@@ -6,31 +6,23 @@ from __future__ import annotations
 import math
 import time
 
-from .cli import EXIT_OK, _emit_json, _master_seed, _rng_for, _say
+from .cli import COMMANDS, EXIT_OK, _emit_json, _master_seed, _rng_for, _say
 from .errors import LimitExceeded, ParameterError
 from .field import Field, is_prime
-
-# Upper bound on params --p-bits and on the bit length of --p: the prime search
-# below 2^bits takes seconds above it, and one Miller-Rabin round about 7 s at
-# the 14,000 bits argparse's int accepts.
-MAX_P_BITS = 1024
-# Upper bound on params --n: the estimates loop n times, 0.1 s at 2^20.
-MAX_PARAMS_N = 1 << 20
 
 
 def _resolve_params_p(args) -> int:
     if (args.p is None) == (args.p_bits is None):
         raise ParameterError("pick exactly one of --p or --p-bits")
     if args.p is not None:
-        if args.p.bit_length() > MAX_P_BITS:
-            raise LimitExceeded(f"--p has {args.p.bit_length()} bits, above the limit of {MAX_P_BITS}")
+        limit = next(entry[2] for entry in COMMANDS["params"][2] if entry[0] == "--p-bits")
+        if args.p.bit_length() > limit:
+            raise LimitExceeded(f"--p has {args.p.bit_length()} bits, above the limit of {limit}")
         if not is_prime(args.p):
             raise ParameterError(f"p={args.p} is not prime")
         return args.p
     if args.p_bits < 2:
         raise ParameterError("--p-bits must be at least 2")
-    if args.p_bits > MAX_P_BITS:
-        raise LimitExceeded(f"--p-bits {args.p_bits} is above the limit of {MAX_P_BITS}")
     candidate = (1 << args.p_bits) - 1
     while not is_prime(candidate):  # stops at 3 at the latest
         candidate -= 2
@@ -40,8 +32,6 @@ def _resolve_params_p(args) -> int:
 def cmd_params(args) -> int:
     from .hardness import estimate
 
-    if args.n > MAX_PARAMS_N:
-        raise LimitExceeded(f"--n {args.n} is above the limit of {MAX_PARAMS_N}")
     p = _resolve_params_p(args)
     est = estimate(args.n, p, args.level)
     _say(args, f"n={est.n} p={p} level={est.level}")

@@ -2,10 +2,10 @@
 
 Subcommands: keygen, sync, sign, verify, params, attack, bench.
 
-Exit codes: 0 success (verify: accepted), 1 parameter rejection or guardrail,
-2 I/O failure, 3 protocol violation, 4 connection failure or timeout, 5
-signature rejected, 6 malformed key/signature/vector encoding.  Under
-``--json`` a caught error is one JSON object on stderr:
+Exit codes: 0 success (verify: accepted), 1 parameter rejection, CLI bound or
+guardrail, 2 I/O failure, 3 protocol violation, 4 connection failure or
+timeout, 5 signature rejected, 6 malformed key/signature/vector encoding.
+Under ``--json`` a caught error is one JSON object on stderr:
 ``{"error": kind, "message": text, "exit": code}``.
 
 Every subcommand that consumes randomness is deterministic under ``--seed
@@ -175,13 +175,20 @@ def cmd_verify(args) -> int:
 
 # --- parser and dispatch ------------------------------------------------------
 
+# The network options of keygen and bench. A keygen child took 0.34 s at --n 128,
+# 1.8-2.2 s at --n 256 (its matrix products are O(n^3)) and 2.3-2.6 s at --rho
+# 10,000; a bench --instrument child took 2.1-3.3 s at either bound.
+_NETWORK_OPTIONS = (
+    ("--p", dict(type=int, default=257)),
+    ("--n", dict(type=int, default=26), 256),
+    ("--rho", dict(type=int, default=10), 10_000),
+)
 # name -> (help, module that defines cmd_<name>, arguments as (flag, add_argument
-# keywords)); every subcommand also takes --seed and --json.
+# keywords[, upper bound, which main checks before it imports the module])); every
+# subcommand also takes --seed and --json.
 COMMANDS = {
     "keygen": ("generate a keypair", __name__, (
-        ("--p", dict(type=int, default=257)),
-        ("--n", dict(type=int, default=26)),
-        ("--rho", dict(type=int, default=10)),
+        *_NETWORK_OPTIONS,
         ("--l", dict(type=int, default=None, help="digest split (default n//2)")),
         ("--pk-out", dict(default="nnsig.pk")),
         ("--sk-out", dict(default="nnsig.sk")),
@@ -193,10 +200,14 @@ COMMANDS = {
         ("--listen", dict(metavar="HOST:PORT")),
         ("--connect", dict(metavar="HOST:PORT")),
         ("--theta-out", dict(default="nnsig.theta")),
-        ("--u", dict(type=int, default=2, help="number of mix exponents")),
+        # Each mix exponent costs a vector power: a sync child at p = 2^61 - 1,
+        # n = 26 took 0.95 s at u = 1,000 and 8.4 s at u = 10,000.
+        ("--u", dict(type=int, default=2, help="number of mix exponents"), 1000),
+        # A day: above any real wait, and far inside the range socket.settimeout
+        # accepts, which raises OverflowError beyond it.
         ("--timeout", dict(type=float, default=60.0, metavar="SECONDS",
                            help="give up when connect or accept waits this long, or when the "
-                                "exchange after it takes longer (exit 4)")),
+                                "exchange after it takes longer (exit 4)"), 86400.0),
     )),
     "sign": ("sign a message file", __name__, (
         ("--sk", dict(required=True)),
@@ -215,9 +226,13 @@ COMMANDS = {
                                        "(analysis only)")),
     )),
     "params": ("security estimates for (n, p)", f"{__package__}._cli_analysis", (
-        ("--n", dict(type=int, required=True)),
+        # The estimates loop n times, 0.1 s at 2^20.
+        ("--n", dict(type=int, required=True), 1 << 20),
         ("--p", dict(type=int)),
-        ("--p-bits", dict(type=int, help="use the largest prime below 2^BITS")),
+        # Also the bound on the bit length of --p: the prime search below 2^bits
+        # takes seconds above it, and one Miller-Rabin round about 7 s at the
+        # 14,000 bits argparse's int accepts.
+        ("--p-bits", dict(type=int, help="use the largest prime below 2^BITS"), 1024),
         ("--level", dict(type=int, default=128)),
     )),
     "attack": ("plant and brute-force a toy instance", f"{__package__}._cli_analysis", (
@@ -225,9 +240,7 @@ COMMANDS = {
         ("--p", dict(type=int, default=7)),
     )),
     "bench": ("size/op-count report", f"{__package__}._cli_analysis", (
-        ("--p", dict(type=int, default=257)),
-        ("--n", dict(type=int, default=26)),
-        ("--rho", dict(type=int, default=10)),
+        *_NETWORK_OPTIONS,
         ("--instrument", dict(action="store_true",
                               help="also run keygen/sign/verify under the op counter")),
     )),
@@ -247,7 +260,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     for name, (text, _, arguments) in COMMANDS.items():
         sp = sub.add_parser(name, help=text, add_help=named in (None, name))
         if named in (None, name):
-            for flag, keywords in (*arguments, *_COMMON):
+            for flag, keywords, *_ in (*arguments, *_COMMON):
                 sp.add_argument(flag, **keywords)
     return parser
 
@@ -268,6 +281,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
+        for flag, keywords, *bound in COMMANDS[args.command][2]:
+            value = getattr(args, keywords.get("dest", flag[2:].replace("-", "_")))
+            if bound and value is not None and not value <= bound[0]:
+                raise LimitExceeded(f"{flag} {value} is above the limit of {bound[0]}")
         home = importlib.import_module(COMMANDS[args.command][1])
         return getattr(home, f"cmd_{args.command}")(args)
     except (ParameterError, LimitExceeded) as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -17,10 +18,15 @@ from pathlib import Path
 import pytest
 
 import nnsig
-from nnsig._cli_sync import MAX_U, _parse_endpoint
-from nnsig.cli import main
+from nnsig._cli_sync import _parse_endpoint
+from nnsig.cli import COMMANDS, main
 from nnsig.errors import ParameterError
 from nnsig.metrics import measured_sizes
+
+# (command, flag) -> the upper bound its COMMANDS entry carries.
+BOUNDS = {(command, entry[0]): entry[2] for command, (_, _, arguments) in COMMANDS.items()
+          for entry in arguments if len(entry) == 3}
+MAX_U = BOUNDS["sync", "--u"]
 
 
 @pytest.fixture(autouse=True)
@@ -263,6 +269,19 @@ def test_sync_refuses_u_above_the_limit_before_creating_a_session(tmp_path, monk
         main(argv + [str(MAX_U), "--config", str(tmp_path / "s.bin")])
 
 
+def test_sync_listen_on_a_busy_port_exits_four(tmp_path, capsys):
+    """An address that cannot be bound is a connection failure, not file i/o."""
+    assert _keygen(tmp_path, extra=("--export-shared", str(tmp_path / "s.bin"))) == 0
+    capsys.readouterr()
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        argv = ["sync", "--config", str(tmp_path / "s.bin"), "--json",
+                "--listen", f"127.0.0.1:{busy.getsockname()[1]}"]
+        assert main(argv) == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "connection" and error["exit"] == 4
+    assert error["message"].startswith(f"[Errno {errno.EADDRINUSE}] ")
+
+
 @pytest.mark.parametrize("mode", ["--listen", "--connect"])
 @pytest.mark.parametrize("port", ["-1", "65536", "99999"])
 def test_sync_port_out_of_range_exits_one(tmp_path, capsys, mode, port):
@@ -500,6 +519,62 @@ def test_params_output_and_validation(capsys):
     assert main(["params", "--n", "26", "--p-bits", "1"]) == 1
     assert main(["params", "--n", "26", "--p-bits", "8", "--json"]) == 0
     assert _json_lines(capsys)[-1]["p"] == 251
+
+
+# Numeric options that COMMANDS leaves unbounded, each with where its bound lives.
+LIBRARY_BOUNDED = {
+    ("keygen", "--p"), ("bench", "--p"),  # Field's 61 bits, checked before is_prime
+    ("keygen", "--l"),  # below n
+    ("attack", "--n"), ("attack", "--p"),  # the solver guardrails, checked before planting
+    ("params", "--p"),  # the --p-bits bound, in bits
+    ("params", "--level"),  # only compared, so it costs nothing
+}
+
+# For each bound: the rest of an otherwise valid command line, and the
+# command's first costly call.
+BOUND_CASES = {
+    ("keygen", "--n"): ((), "nnsig.scheme.build_network"),
+    ("keygen", "--rho"): ((), "nnsig.scheme.build_network"),
+    ("bench", "--n"): ((), "nnsig.scheme.build_network"),
+    ("bench", "--rho"): ((), "nnsig.scheme.build_network"),
+    ("sync", "--u"): (("--connect", "127.0.0.1:1", "--config", "s.bin"),
+                      "nnsig.sync.SyncSession.create"),
+    ("sync", "--timeout"): (("--connect", "127.0.0.1:1", "--config", "s.bin"),
+                            "nnsig.sync.SyncSession.create"),
+    ("params", "--n"): (("--p", "257"), "nnsig.hardness.estimate"),
+    ("params", "--p-bits"): (("--n", "26"), "nnsig._cli_analysis.is_prime"),
+}
+
+
+def test_every_numeric_option_is_bounded():
+    numeric = {(command, entry[0]) for command, (_, _, arguments) in COMMANDS.items()
+               for entry in arguments if entry[1].get("type") in (int, float)}
+    assert set(BOUNDS) <= numeric
+    assert numeric - set(BOUNDS) == LIBRARY_BOUNDED
+    assert set(BOUND_CASES) == set(BOUNDS)
+    # The ROADMAP's largest set, n=128 with rho=10, stays far inside.
+    assert BOUNDS["keygen", "--n"] >= 2 * 128 and BOUNDS["keygen", "--rho"] >= 100 * 10
+
+
+@pytest.mark.parametrize("command, flag", sorted(BOUND_CASES))
+def test_a_value_above_its_bound_exits_one_before_the_first_costly_call(
+        tmp_path, monkeypatch, capsys, command, flag):
+    rest, costly = BOUND_CASES[command, flag]
+    bound = BOUNDS[command, flag]
+    assert _keygen(tmp_path, extra=("--export-shared", str(tmp_path / "s.bin"))) == 0
+    capsys.readouterr()
+
+    def reached(*args, **kwargs):
+        raise AssertionError(f"reached {costly}")
+
+    monkeypatch.setattr(costly, reached)
+    argv = [command, *rest, "--json", flag]
+    assert main(argv + [str(bound + 1)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "parameter", "exit": 1,
+        "message": f"{flag} {bound + 1} is above the limit of {bound}"}
+    with pytest.raises(AssertionError, match=f"reached {costly}$"):
+        main(argv + [str(bound)])
 
 
 def test_params_refuses_p_bits_above_the_limit(monkeypatch, capsys):
