@@ -1,7 +1,7 @@
 """The per-message half of :mod:`nnsig.matrix`, the part a ``verify`` child runs.
 
-``matrix`` imports every name here; its docstring lists them and states the
-slot bound they keep and the codec layout.
+``matrix``'s docstring lists the names here, the slot bound they keep and the
+codec layout; ``matrix`` rebinds six of them, for perfbench's tracer only.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def _slots(values, count: int, width: int) -> tuple:
 
 
 def _unpack(value: int, count: int, width: int, p: int) -> tuple:
-    """The ``count`` slots of a packed int, each reduced mod p."""
-    return tuple([x % p for x in _slots((value,), count, width)])
+    """The ``count`` slots of a packed int, each reduced mod p, read from its own bytes."""
+    return tuple([x % p for x in decode_uints(value.to_bytes(count * width, "little"), width)])
 
 
 class PackedMatVec:

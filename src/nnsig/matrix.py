@@ -44,7 +44,8 @@ by ``split_rows``; every file starts with a magic (and, except the theta
 file, a version byte) and its fixed header fields, checked and unpacked by
 ``read_header``, and its last run, read with ``end=``, refuses trailing
 bytes; a modulus read from a file becomes a ``Field`` through
-``field_from_wire``.
+``field_from_wire``.  Import these names from ``_packed``; the six this module
+binds with ``noqa: F401`` serve only perfbench's tracer, which patches them.
 """
 
 from __future__ import annotations
@@ -59,10 +60,8 @@ from ._packed import (
     MatrixZp, _check_entries, _check_shape, _pack, _slot_width, _slots, _unpack, _width_for,
     split_rows,
 )
-# Read here only from outside src: by tests, perfbench/tracing.py's TRACED table and CI.
 from ._packed import (  # noqa: F401
-    PackedMatVec, decode_uints, encode_matrix, encode_uints, encode_vector, mat_vec, read_matrix,
-    read_vector, vec_add, vec_mat, vec_sub,
+    encode_matrix, encode_vector, mat_vec, read_matrix, read_vector, vec_mat,
 )
 
 

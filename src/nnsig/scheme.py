@@ -40,6 +40,9 @@ as one run of 2n u32 indices, the weight matrix as one little-endian integer
 of ``ceil(n^2 / 8)`` bytes whose bit ``r*n + c`` is entry (r, c) (0 -> 1, 1
 -> p-1; the padding bits above bit n^2 must be zero), and the attention
 schedule as rho raw element vectors.
+
+The names it imports with ``noqa: F401`` live in ``_public``; they are bound
+here only for perfbench's tracer, which patches them as ``scheme.<name>``.
 """
 
 from __future__ import annotations
@@ -57,11 +60,7 @@ from ._packed import (
     read_elements, read_header, split_rows, vec_sub,
 )
 from ._public import FORMAT_VERSION, PublicKey, Signature, _check_split, hash_to_field
-# Read here only from outside src: by tests and by perfbench/tracing.py's TRACED table.
-from ._public import (  # noqa: F401
-    THETA_MAGIC, decode_theta, encode_theta, parse_public_key, parse_signature,
-    serialize_public_key, serialize_signature, verify,
-)
+from ._public import parse_public_key, parse_signature, serialize_signature, verify  # noqa: F401
 
 SK_MAGIC = b"NNSIGSK1"
 _SK_HEADER = struct.Struct("<6Q")  # p, n, l, rho, a, b: the fixed header after magic and version

@@ -26,6 +26,9 @@ the one frame length its n allows and refuses any other before it decodes an
 entry.  Sessions are strict state machines — any out-of-order call raises
 InvalidStateError and leaves the session untouched, as does any frame it
 refuses.
+
+The theta codec lives in ``_public`` and the shared-setup codec in
+``network``; ``encode_theta`` is bound here only for perfbench's harness.
 """
 
 from __future__ import annotations
@@ -48,12 +51,9 @@ from .errors import (
 from .field import Field, FrozenValue, Value, system_rng
 from .matrix import SquaringTable, det, is_identity, mat_pow
 from ._packed import MatrixZp, encode_matrix, encode_vector, read_matrix, read_vector, vec_add
-# The theta and shared-setup file codecs are read here only from outside src,
-# by tests and perfbench/harness.py; this module uses SynapticWeights and hash_to_field.
-from .network import (  # noqa: F401
-    SETUP_MAGIC, SETUP_VERSION, SynapticWeights, decode_shared_setup, encode_shared_setup,
-)
-from ._public import THETA_MAGIC, decode_theta, encode_theta, hash_to_field  # noqa: F401
+from .network import SynapticWeights
+from ._public import hash_to_field
+from ._public import encode_theta  # noqa: F401
 
 TAG_DH_MATRIX = 0x01
 TAG_PUBLIC_VECTOR = 0x02

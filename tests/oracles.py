@@ -3,10 +3,11 @@ two matrices, and the check of a permuted-matrix-power solution."""
 
 from __future__ import annotations
 
+from nnsig._packed import MatrixZp
 from nnsig.errors import DimensionMismatch
 from nnsig.field import Field
 from nnsig.hardness import MatrixPowerInstance, MatrixPowerSolution
-from nnsig.matrix import MatrixZp, mat_pow
+from nnsig.matrix import mat_pow
 
 
 def diag_from_vector(field: Field, v) -> MatrixZp:

@@ -14,6 +14,18 @@ import time
 
 import mpmath as mp
 
+from nnsig._packed import encode_matrix, vec_add, vec_mat
+from nnsig._public import (
+    Signature,
+    decode_theta,
+    encode_theta,
+    hash_to_field,
+    parse_public_key,
+    parse_signature,
+    serialize_public_key,
+    serialize_signature,
+    verify,
+)
 from nnsig.errors import (
     LengthOverflow,
     MalformedEncoding,
@@ -29,7 +41,7 @@ from nnsig.hardness import (
     make_instance,
     quantum_security_ok,
 )
-from nnsig.matrix import encode_matrix, mat_pow, vec_add, vec_mat
+from nnsig.matrix import mat_pow
 from nnsig.metrics import (
     REPORTED_PROFILES,
     discrepancies,
@@ -37,29 +49,21 @@ from nnsig.metrics import (
     instrumented_counts,
     op_count_report,
 )
-from nnsig.network import NetworkConfig, build_network, evolve_iterative, forward, unroll
-from nnsig.scheme import (
-    Signature,
-    hash_to_field,
-    keygen,
-    parse_public_key,
-    parse_secret_key,
-    parse_signature,
-    serialize_public_key,
-    serialize_secret_key,
-    serialize_signature,
-    sign,
-    verify,
+from nnsig.network import (
+    NetworkConfig,
+    build_network,
+    decode_shared_setup,
+    encode_shared_setup,
+    evolve_iterative,
+    forward,
+    unroll,
 )
+from nnsig.scheme import keygen, parse_secret_key, serialize_secret_key, sign
 from nnsig.sync import (
     DhMatrixMessage,
     PublicVectorMessage,
     SyncConfig,
     SyncSession,
-    decode_shared_setup,
-    decode_theta,
-    encode_shared_setup,
-    encode_theta,
     run_over_socket,
     run_pair,
     wire_decode,

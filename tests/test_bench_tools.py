@@ -51,8 +51,31 @@ def test_stage_rows_report_the_per_pair_ratios():
         return {"p=7,n=2": {"stages": {"sign": [scale[checkout] * s for s in (1, 2, 3)]},
                             "calibration": [1.0, 1.0, 1.0]}}
 
-    rows = bench_pairs.stage_rows({"parent": "parent", "change": "change"}, run, "test")
+    rows = bench_pairs.stage_rows({"parent": "parent", "change": "change"}, run, "test", 1)
     ratio = rows["p=7,n=2"]["sign"]["pair_ratio"]
     assert ratio["runs"] == [0.5] * bench_pairs.PAIRS
     assert ratio["median"] == ratio["q1"] == ratio["q3"] == 0.5
     assert ratio["change_wins"] == bench_pairs.PAIRS
+
+
+def test_stage_rows_take_turns_on_every_repeat():
+    """With several repeats per pair the sides alternate on each call, the
+    first side flipping from repeat to repeat, and a pair's ratio is that of
+    the medians over all of each side's repeats."""
+    bench_pairs = _bench_pairs()
+    calls = []
+
+    def run(checkout):
+        calls.append(checkout)
+        # A side's nth call in a pair (n = 1, 2, 3) times n on the parent, 2n on the change.
+        nth = calls.count(checkout) % 3 or 3
+        seconds = nth if checkout == "parent" else 2 * nth
+        return {"p=7,n=2": {"stages": {"sign": [seconds]}, "calibration": [1.0]}}
+
+    rows = bench_pairs.stage_rows({"parent": "parent", "change": "change"}, run, "test", 3)
+    first_pairs = ["parent", "change", "change", "parent", "parent", "change",
+                   "change", "parent", "parent", "change", "change", "parent"]
+    assert calls[:12] == first_pairs
+    assert len(calls) == 2 * 3 * bench_pairs.PAIRS
+    ratio = rows["p=7,n=2"]["sign"]["pair_ratio"]
+    assert ratio["runs"] == [2.0] * bench_pairs.PAIRS

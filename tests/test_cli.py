@@ -105,7 +105,8 @@ def test_keygen_writes_parsable_keys(tmp_path, capsys):
     assert _keygen(tmp_path, extra=("--json",)) == 0
     payload = _json_lines(capsys)[0]
     assert payload["p"] == 257 and payload["n"] == 6
-    from nnsig.scheme import parse_public_key, parse_secret_key
+    from nnsig._public import parse_public_key
+    from nnsig.scheme import parse_secret_key
 
     pk = parse_public_key((tmp_path / "k.pk").read_bytes())
     sk = parse_secret_key((tmp_path / "k.sk").read_bytes())
@@ -769,7 +770,7 @@ def test_help_and_usage_texts_are_unchanged(monkeypatch):
 def _singular_secret_key(tmp_path) -> Path:
     """A keygen secret key with every weight bit cleared: all weights 1, rank 1."""
     from nnsig.field import Field
-    from nnsig.scheme import encode_theta
+    from nnsig._public import encode_theta
 
     assert _keygen(tmp_path) == 0
     blob = bytearray((tmp_path / "k.sk").read_bytes())

@@ -1,6 +1,7 @@
 """Cold start: what a fresh interpreter loads for ``import nnsig`` and for each
 CLI subcommand, that the lazily loaded package exposes the same API, and that
-each module of the package imports a name from the module that defines it."""
+the package, the tests and CI's inline Python import a name from the module
+that defines it."""
 
 from __future__ import annotations
 
@@ -10,20 +11,23 @@ import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import nnsig
 from nnsig import cli
+from nnsig._public import encode_theta, serialize_public_key, serialize_signature
 from nnsig.field import Field
 from nnsig.network import NetworkConfig
-from nnsig.scheme import encode_theta, keygen, serialize_public_key, serialize_secret_key
-from nnsig.scheme import serialize_signature, sign
+from nnsig.scheme import keygen, serialize_secret_key, sign
 
 PACKAGE = Path(nnsig.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 SUBMODULES = ("errors", "field", "hardness", "matrix", "metrics", "network", "scheme", "sync")
 # The 63 public names of the package before its submodules loaded lazily, and
 # from_rows, the matrix constructor that reduces entries.
@@ -344,14 +348,6 @@ def test_unknown_attribute_raises_attribute_error():
         nnsig.no_such_name  # noqa: B018
 
 
-def test_theta_codec_is_shared_with_sync():
-    import nnsig.scheme
-    import nnsig.sync
-
-    for name in ("THETA_MAGIC", "encode_theta", "decode_theta"):
-        assert getattr(nnsig.sync, name) is getattr(nnsig.scheme, name)
-
-
 def _defined_at_top_level(tree) -> set:
     """The names a module binds itself at its top level: by def, class or assignment."""
     names = set()
@@ -378,6 +374,30 @@ def test_every_relative_import_names_the_defining_module():
     assert through == []
 
 
+def test_every_import_in_tests_and_ci_names_the_defining_module():
+    """Each ``from nnsig.X import name`` in the tests and in the workflow's
+    inline Python reads name from the module that defines it, and each
+    ``from nnsig import name`` takes a public name or a submodule."""
+    defined = {path.stem: _defined_at_top_level(ast.parse(path.read_text()))
+               for path in PACKAGE.glob("*.py")}
+    sources = {path.name: path.read_text() for path in Path(__file__).parent.glob("*.py")}
+    workflow = (REPO / ".github" / "workflows" / "tests.yml").read_text()
+    scripts = [textwrap.dedent(code) for code in re.findall(r"python3 -c '(.*?)'", workflow, re.S)]
+    assert any("from nnsig." in script for script in scripts)
+    sources.update((f"tests.yml script {i}", script) for i, script in enumerate(scripts))
+    through = []
+    for where, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and (node.module or "").split(".")[0] == "nnsig"):
+                continue
+            home = node.module.partition(".")[2]
+            homes = defined.get(home, set()) if home else {*nnsig.__all__, *defined}
+            through += [f"{where}:{node.lineno} {node.module}.{alias.name}"
+                        for alias in node.names if alias.name not in homes]
+    assert through == []
+
+
 def _names_read(tree) -> set:
     """The names a module reads, bare or as an attribute."""
     return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
@@ -392,7 +412,7 @@ def test_every_module_level_name_is_read():
     is read by the benchmark (its tracer names what it patches in strings):
     no helper lives in the package for the tests alone."""
     trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
-    bench_dir = Path(__file__).resolve().parent.parent / "perfbench"
+    bench_dir = REPO / "perfbench"
     bench = [ast.parse(path.read_text()) for path in bench_dir.glob("*.py")]
     assert bench
     read = set().union(*map(_names_read, [*trees.values(), *bench]))
@@ -408,14 +428,19 @@ def test_every_module_level_name_is_read():
     assert unread == []
 
 
+def _traced() -> dict:
+    """perfbench's tracer's ``TRACED`` table: module -> the attributes it patches."""
+    tracing = REPO / "perfbench" / "tracing.py"
+    return next(ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "TRACED")
+
+
 def test_traced_names_resolve_on_their_modules():
     """Every (module, attribute) that perfbench's tracer patches resolves on
     nnsig.<module>, a method through its class, and a function is the object
     its home module holds, so one wrapper replaces each binding of it."""
-    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    traced = next(ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
-                  if isinstance(node, ast.Assign)
-                  and getattr(node.targets[0], "id", None) == "TRACED")
+    traced = _traced()
     missing = []
     for module_name, attrs in traced.items():
         module = importlib.import_module(f"nnsig.{module_name}")
@@ -429,3 +454,28 @@ def test_traced_names_resolve_on_their_modules():
             if not ok:
                 missing.append(f"{module_name}.{attr}")
     assert traced and not missing
+
+
+def test_aliases_are_only_what_perfbench_reads():
+    """A name a package module imports from a sibling and never reads is an
+    alias.  Each alias is a name perfbench reads as ``nnsig.<module>.<name>``:
+    in its tracer's ``TRACED`` table (a method by its class) or in its code;
+    and each name perfbench reads so is bound on that module."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    reads = {module: {attr.split(".")[0] for attr in attrs} for module, attrs in _traced().items()}
+    for path in (REPO / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and isinstance(node.value.value, ast.Name) and node.value.value.id == "nnsig"
+                    and node.value.attr in trees):
+                reads.setdefault(node.value.attr, set()).add(node.attr)
+    unread, unbound = [], []
+    for stem, tree in sorted(trees.items()):
+        imported = {alias.asname or alias.name for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for alias in node.names}
+        read = reads.pop(stem, set())
+        unread += [f"{stem}.{name}" for name in sorted(imported - _names_read(tree) - read)]
+        unbound += [f"{stem}.{name}" for name in sorted(read - imported
+                                                        - _defined_at_top_level(tree))]
+    assert (unread, unbound, reads) == ([], [], {})

@@ -10,6 +10,8 @@ import threading
 
 import pytest
 
+from nnsig._packed import mat_vec, vec_add, vec_mat, vec_sub
+from nnsig._public import Signature, hash_to_field, parse_public_key, serialize_public_key, verify
 from nnsig.errors import DimensionMismatch
 from nnsig.field import Field, count_ops
 from nnsig.matrix import (
@@ -19,22 +21,10 @@ from nnsig.matrix import (
     mat_inv,
     mat_mul,
     mat_pow,
-    mat_vec,
     random_matrix,
-    vec_add,
-    vec_mat,
-    vec_sub,
 )
 from nnsig.network import NetworkConfig, build_network
-from nnsig.scheme import (
-    Signature,
-    hash_to_field,
-    keygen,
-    parse_public_key,
-    serialize_public_key,
-    sign,
-    verify,
-)
+from nnsig.scheme import keygen, sign
 from nnsig.sync import SyncConfig, SyncSession, run_over_socket, run_pair
 
 KEY_SETS = [(257, 5), (257, 26), (2**61 - 1, 6)]

@@ -13,17 +13,11 @@ import random
 
 import pytest
 
+from nnsig._public import encode_theta, serialize_public_key, serialize_signature, verify
 from nnsig.field import Field
 from nnsig.network import NetworkConfig
-from nnsig.scheme import (
-    keygen,
-    serialize_public_key,
-    serialize_secret_key,
-    serialize_signature,
-    sign,
-    verify,
-)
-from nnsig.sync import SyncConfig, SyncSession, encode_theta, run_pair
+from nnsig.scheme import keygen, serialize_secret_key, sign
+from nnsig.sync import SyncConfig, SyncSession, run_pair
 
 GOLDEN = {
     (257, 8): {

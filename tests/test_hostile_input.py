@@ -13,32 +13,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nnsig._packed
-from nnsig.errors import MalformedEncoding, MalformedFrame, NnsigError, UnsupportedVersion
-from nnsig.field import Field
-from nnsig.matrix import MatrixZp, from_rows, identity
-from nnsig.network import NetworkConfig
-from nnsig.scheme import (
-    keygen,
+from nnsig._packed import MatrixZp
+from nnsig._public import (
+    decode_theta,
+    encode_theta,
     parse_public_key,
-    parse_secret_key,
     parse_signature,
     serialize_public_key,
-    serialize_secret_key,
     serialize_signature,
-    sign,
 )
+from nnsig.errors import MalformedEncoding, MalformedFrame, NnsigError, UnsupportedVersion
+from nnsig.field import Field
+from nnsig.matrix import from_rows, identity
+from nnsig.network import NetworkConfig, decode_shared_setup, encode_shared_setup
+from nnsig.scheme import keygen, parse_secret_key, serialize_secret_key, sign
 from nnsig.sync import (
+    TAG_DH_MATRIX,
+    TAG_PUBLIC_VECTOR,
     DhMatrixMessage,
     PublicVectorMessage,
     SessionState,
     SyncConfig,
     SyncSession,
-    TAG_DH_MATRIX,
-    TAG_PUBLIC_VECTOR,
-    decode_shared_setup,
-    decode_theta,
-    encode_shared_setup,
-    encode_theta,
     run_pair,
     wire_decode,
     wire_encode,

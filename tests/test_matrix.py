@@ -8,28 +8,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nnsig._packed import (
+    MatrixZp,
+    encode_matrix,
+    encode_vector,
+    mat_vec,
+    read_matrix,
+    read_vector,
+    vec_add,
+    vec_mat,
+    vec_sub,
+)
 from nnsig.errors import DimensionMismatch, MalformedEncoding, SingularMatrixError
 from nnsig.field import Field
 from nnsig.matrix import (
-    MatrixZp,
     PermutationMatrix,
     det,
-    encode_matrix,
-    encode_vector,
     from_rows,
     identity,
     is_identity,
     mat_inv,
     mat_mul,
     mat_pow,
-    mat_vec,
     random_invertible,
     random_matrix,
-    read_matrix,
-    read_vector,
-    vec_add,
-    vec_mat,
-    vec_sub,
 )
 from oracles import diag_from_vector, mat_add
 
@@ -277,7 +279,7 @@ def _uints_oracle(values, width):
 
 @given(st.data(), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 16]))
 def test_uints_codec_matches_the_per_entry_oracle(data, width):
-    from nnsig.matrix import decode_uints, encode_uints
+    from nnsig._packed import decode_uints, encode_uints
 
     values = data.draw(st.lists(st.integers(0, (1 << 8 * width) - 1), max_size=40))
     encoded = encode_uints(values, width)
@@ -289,7 +291,7 @@ def test_uints_codec_matches_the_per_entry_oracle(data, width):
 def test_decode_uints_reads_random_buffers_as_the_per_entry_path(width):
     """Width 16, the product slots at p = 2^61 - 1, is read as pairs of
     struct Qs; 3 and 5 have no struct code and read one slot at a time."""
-    from nnsig.matrix import decode_uints
+    from nnsig._packed import decode_uints
 
     rng = random.Random(width)
     for count in (0, 1, 2, 26, 676):

@@ -6,16 +6,10 @@ import random
 
 import pytest
 
+from nnsig._packed import MatrixZp
 from nnsig.errors import DimensionMismatch, ParameterError, SingularWeightsError
 from nnsig.field import Field
-from nnsig.matrix import (
-    MatrixZp,
-    det,
-    from_rows,
-    identity,
-    mat_mul,
-    mat_pow,
-)
+from nnsig.matrix import det, from_rows, identity, mat_mul, mat_pow
 from nnsig.network import (
     AttentionSchedule,
     NetworkConfig,
@@ -243,7 +237,7 @@ def test_invert_with_bias_only_output(f257):
     weights, schedule = build_network(config)
     maps = unroll(weights, schedule)
     theta = (9, 8, 7, 6)
-    from nnsig.matrix import mat_vec
+    from nnsig._packed import mat_vec
 
     y = tuple(mat_vec(maps.w_theta, theta))
     assert invert(maps, y, theta) == (0, 0, 0, 0)

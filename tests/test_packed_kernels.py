@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from nnsig._packed import MatrixZp, PackedMatVec, _slots, _unpack, mat_vec, vec_add
 from nnsig.errors import (
     DimensionMismatch,
     ParameterError,
@@ -25,8 +26,6 @@ from nnsig.errors import (
 )
 from nnsig.field import Field, count_ops, tally
 from nnsig.matrix import (
-    MatrixZp,
-    PackedMatVec,
     SquaringTable,
     det,
     from_rows,
@@ -34,10 +33,8 @@ from nnsig.matrix import (
     mat_inv,
     mat_mul,
     mat_pow,
-    mat_vec,
     random_matrix,
     scaled_chain,
-    vec_add,
 )
 from nnsig.network import AttentionSchedule, SynapticWeights, UnrolledMaps, unroll
 
@@ -374,6 +371,20 @@ def test_packed_addend_fills_the_slot_bound(p):
     for bad in (p, -1):
         with pytest.raises(ParameterError):
             product.pack((bad,) + top[1:])
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 16, 17])
+def test_unpack_reads_what_the_batched_slot_path_reads(width):
+    """``_unpack`` reads one packed int from its own bytes; the products read
+    theirs through ``_slots``, and both give the same reduced entries."""
+    rng = random.Random(width)
+    for count in (1, 2, 26, 87):
+        values = [0, (1 << 8 * width * count) - 1, *(rng.getrandbits(8 * width * count)
+                                                      for _ in range(20))]
+        for p in (3, 257, 2**61 - 1):
+            for value in values:
+                assert _unpack(value, count, width, p) == tuple(
+                    x % p for x in _slots((value,), count, width))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

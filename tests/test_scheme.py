@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import secrets
 import struct
@@ -11,6 +12,17 @@ import types
 import pytest
 
 from nnsig import cli
+from nnsig._packed import MatrixZp, PackedMatVec, mat_vec, vec_add, vec_sub
+from nnsig._public import (
+    PublicKey,
+    Signature,
+    hash_to_field,
+    parse_public_key,
+    parse_signature,
+    serialize_public_key,
+    serialize_signature,
+    verify,
+)
 from nnsig.errors import (
     DimensionMismatch,
     MalformedEncoding,
@@ -18,33 +30,16 @@ from nnsig.errors import (
     SingularWeightsError,
     UnsupportedVersion,
 )
-from nnsig.field import Field, count_ops
-from nnsig.matrix import (
-    MatrixZp,
-    PackedMatVec,
-    PermutationMatrix,
-    det,
-    mat_pow,
-    mat_vec,
-    vec_add,
-    vec_sub,
-)
+from nnsig.field import Field, count_ops, is_prime
+from nnsig.matrix import PermutationMatrix, det, mat_pow
 from nnsig.network import NetworkConfig, SynapticWeights, build_network
 from nnsig.scheme import (
-    PublicKey,
-    Signature,
     derive_keypair,
-    hash_to_field,
     keygen,
-    parse_public_key,
     parse_secret_key,
-    parse_signature,
-    serialize_public_key,
     serialize_secret_key,
-    serialize_signature,
     sign,
     sign_with,
-    verify,
 )
 from nnsig.sync import PublicVectorMessage, SyncConfig, SyncSession, run_pair, wire_decode
 
@@ -78,11 +73,18 @@ def _digest_oracle(message: bytes, n: int, field: Field):
     return tuple(out)
 
 
+# The smallest prime of each element width from 2 to 61 bits: about half of
+# its chunks are rejected, so the scan skips as often as it can.
+WIDTH_PRIMES = [next(q for q in itertools.count((1 << bits - 1) + 1) if is_prime(q))
+                for bits in range(2, 62)]
+
+
 def test_hash_matches_bitstring_oracle():
-    for p in (5, 257, 7919, 2**61 - 1):
+    for p in (5, 7919, 2**61 - 1, *WIDTH_PRIMES):
         field = Field(p)
         for msg in (b"", b"a", b"hello world", bytes(range(200))):
             assert hash_to_field(msg, 12, field) == _digest_oracle(msg, 12, field)
+    assert [Field(p).bits_per_element for p in WIDTH_PRIMES] == list(range(2, 62))
 
 
 @pytest.mark.parametrize("n", [2, 26, 43, 128])
@@ -95,22 +97,37 @@ def test_hash_matches_one_long_squeeze(p, n):
         assert hash_to_field(msg, n, field) == _digest_oracle(msg, n, field)
 
 
-def test_first_squeeze_rarely_falls_short(f257, monkeypatch):
-    squeezes = []
+@pytest.fixture
+def squeezes(monkeypatch):
+    """The number of digests each ``hash_to_field`` call takes, in call order."""
+    counts = []
 
     class CountingShake:
         def __init__(self, data):
             self._xof = hashlib.shake_128(data)
+            counts.append(0)
 
         def digest(self, length):
-            squeezes[-1] += 1
+            counts[-1] += 1
             return self._xof.digest(length)
 
     monkeypatch.setattr("nnsig._public.hashlib", types.SimpleNamespace(shake_128=CountingShake))
+    return counts
+
+
+def test_first_squeeze_rarely_falls_short(f257, squeezes):
     for i in range(3000):
-        squeezes.append(0)
         hash_to_field(b"message %d" % i, 43, f257)
     assert sum(count > 1 for count in squeezes) < 30  # under 1% squeeze twice
+
+
+def test_short_first_squeeze_matches_the_oracle(f257, squeezes):
+    """b"message 112" is the first of b"message %d", i = 0, 1, ..., whose first
+    squeeze at p = 257, n = 43 accepts only 42 chunks: the second squeeze
+    re-reads the first's chunks and takes the 43rd after them."""
+    message = b"message 112"
+    assert hash_to_field(message, 43, f257) == _digest_oracle(message, 43, f257)
+    assert squeezes == [2]
 
 
 def test_hash_deterministic_and_message_sensitive(f257):

@@ -9,6 +9,8 @@ import threading
 
 import pytest
 
+from nnsig._packed import MatrixZp, encode_matrix, encode_vector, vec_add, vec_mat
+from nnsig._public import decode_theta, encode_theta, hash_to_field
 from nnsig.errors import (
     InvalidStateError,
     LengthOverflow,
@@ -19,31 +21,23 @@ from nnsig.errors import (
     UnknownTag,
 )
 from nnsig.field import Field
-from nnsig.matrix import (
-    MatrixZp,
-    encode_matrix,
-    encode_vector,
-    from_rows,
-    identity,
-    mat_pow,
-    vec_add,
-    vec_mat,
-)
-from nnsig.network import NetworkConfig, SynapticWeights, build_network
-from nnsig.scheme import hash_to_field
-from nnsig.sync import (
-    MAX_PAYLOAD,
+from nnsig.matrix import from_rows, identity, mat_pow
+from nnsig.network import (
     SETUP_MAGIC,
     SETUP_VERSION,
+    NetworkConfig,
+    SynapticWeights,
+    build_network,
+    decode_shared_setup,
+    encode_shared_setup,
+)
+from nnsig.sync import (
+    MAX_PAYLOAD,
     DhMatrixMessage,
     PublicVectorMessage,
     SessionState,
     SyncConfig,
     SyncSession,
-    decode_shared_setup,
-    decode_theta,
-    encode_shared_setup,
-    encode_theta,
     recv_frame,
     run_over_socket,
     run_pair,

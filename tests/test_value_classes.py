@@ -12,23 +12,15 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import pytest
 
+from nnsig._packed import MatrixZp
+from nnsig._public import PublicKey, Signature, parse_public_key, serialize_public_key, verify
 from nnsig.errors import DimensionMismatch, ParameterError, SingularWeightsError
 from nnsig.field import Field, OpCounter
 from nnsig.hardness import MatrixPowerSolution, estimate, make_instance
-from nnsig.matrix import MatrixZp, PermutationMatrix
+from nnsig.matrix import PermutationMatrix
 from nnsig.metrics import MeasuredSizes, formula_sizes, op_count_report
 from nnsig.network import NetworkConfig, SynapticWeights, build_network, unroll
-from nnsig.scheme import (
-    PublicKey,
-    Signature,
-    keygen,
-    parse_public_key,
-    parse_secret_key,
-    serialize_public_key,
-    serialize_secret_key,
-    sign,
-    verify,
-)
+from nnsig.scheme import keygen, parse_secret_key, serialize_secret_key, sign
 from nnsig.sync import DhMatrixMessage, PublicVectorMessage, SyncConfig, SyncSession
 
 FIELD = Field(257)

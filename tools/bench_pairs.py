@@ -19,9 +19,10 @@ ROADMAP's four parameter sets, timed in a child interpreter per checkout, again
 alternating, in milliseconds and in runs of perfbench's calibration kernel;
 and a table of CLI children (a bare interpreter, ``import nnsig``, ``nnsig
 --help``, keygen, a sync pair, sign, verify, params and attack) at
-perfbench's CLI parameter set, timed the same way.  Each stage row also
-gives the spread of the per-pair ratios of the change's median to the
-parent's.  Standard library only.
+perfbench's CLI parameter set, timed the same way except that the two
+checkouts take turns on every repeat, so host-speed drift within a pair
+lands on both.  Each stage row also gives the spread of the per-pair ratios
+of the change's median to the parent's.  Standard library only.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
-ORDER = "pair k runs parent first when k is even, change first when k is odd"
+ORDER = ("pair k runs parent first when k is even, change first when k is odd; in the cli "
+         "table, repeat r of pair k runs parent first when k + r is even")
 QUARTILES = "statistics.quantiles(method='inclusive')"
 
 # (p, n) at rho=10: the parameter sets of the ROADMAP's performance aim.
@@ -276,7 +278,7 @@ def run_layers(checkout: Path) -> dict:
 
 
 def run_cli(checkout: Path) -> dict:
-    return run_child(checkout, "cli_child", CLI_REPEATS, [[]])  # one set: perfbench's CLI_PARAMS
+    return run_child(checkout, "cli_child", 1, [[]])  # one repeat at perfbench's CLI_PARAMS
 
 
 def run_child(checkout: Path, table: str, repeats: int, sets, timeout=None) -> dict:
@@ -397,23 +399,30 @@ def main(argv=None) -> int:
     return 0
 
 
-def stage_rows(dirs: dict, run, label: str) -> dict:
+def stage_rows(dirs: dict, run, label: str, repeats: int) -> dict:
     """Median, quartiles and change of each stage that ``run(checkout)`` times,
     in milliseconds and in runs of perfbench's calibration kernel timed next to it;
     and the spread of the per-pair ratios of the change's median to the parent's,
-    in calibration units, with the number of pairs the change won."""
+    in calibration units, with the number of pairs the change won.  Each pair
+    calls ``run`` ``repeats`` times per side, the sides taking turns on every
+    call (ORDER), and a pair's median runs over all of a side's calls."""
     samples = {"parent": {}, "change": {}}
     for k in range(PAIRS):
-        for side, checkout in alternate(k, *dirs.values()):
-            for key, result in run(checkout).items():
-                for stage, seconds in result["stages"].items():
-                    cell = samples[side].setdefault(key, {}).setdefault(
-                        stage, {"ms": [], "cal": [], "pair_cal": []})
-                    cal = list(map(operator.truediv, seconds, result["calibration"]))
-                    cell["ms"].extend(1e3 * s for s in seconds)
-                    cell["cal"].extend(cal)
-                    cell["pair_cal"].append(statistics.median(cal))
-            print(f"{label} pair {k} {side} done", file=sys.stderr, flush=True)
+        pair = {"parent": {}, "change": {}}
+        for r in range(repeats):
+            for side, checkout in alternate(k + r, *dirs.values()):
+                for key, result in run(checkout).items():
+                    for stage, seconds in result["stages"].items():
+                        cell = samples[side].setdefault(key, {}).setdefault(
+                            stage, {"ms": [], "cal": [], "pair_cal": []})
+                        cal = list(map(operator.truediv, seconds, result["calibration"]))
+                        cell["ms"].extend(1e3 * s for s in seconds)
+                        cell["cal"].extend(cal)
+                        pair[side].setdefault((key, stage), []).extend(cal)
+                print(f"{label} pair {k} repeat {r} {side} done", file=sys.stderr, flush=True)
+        for side, cells in pair.items():
+            for (key, stage), cal in cells.items():
+                samples[side][key][stage]["pair_cal"].append(statistics.median(cal))
     rows = {}
     for key, stages in samples["parent"].items():
         rows[key] = {}
@@ -449,7 +458,7 @@ def layer_table(dirs: dict) -> dict:
                 "of a set; pk_codec: serialize and parse the public key; "
                 "sig_codec: serialize and parse a signature, per signature over the 16",
         "units": UNITS,
-        "stages": stage_rows(dirs, run_layers, "layers"),
+        "stages": stage_rows(dirs, run_layers, "layers", 1),
     }
 
 
@@ -457,13 +466,14 @@ def cli_table(dirs: dict) -> dict:
     return {
         "what": "wall time of one python -m nnsig child per row (the sync pair: listener and "
                 "connector together), run as perfbench's cli-session runs them, under "
-                f"{ENV}; {PAIRS} alternating pairs of one driver interpreter per checkout, "
-                f"{CLI_REPEATS} timed repeats after one untimed warm-up repeat. bare: python -c "
+                f"{ENV}; {PAIRS} pairs of {CLI_REPEATS} repeats per checkout, the checkouts "
+                "taking turns on every repeat, each repeat one driver interpreter that times "
+                "the rows after one untimed warm-up pass. bare: python -c "
                 "pass; import: python -c 'import nnsig'; help: nnsig --help; keygen: keygen "
                 "--export-shared at perfbench's CLI_PARAMS; sign and verify: a 1 KiB message; "
                 "params: --n 43 --p 257; attack: --n 4 --p 31",
         "units": UNITS,
-        "stages": stage_rows(dirs, run_cli, "cli"),
+        "stages": stage_rows(dirs, run_cli, "cli", CLI_REPEATS),
     }
 
 
