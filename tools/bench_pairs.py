@@ -11,23 +11,26 @@ run as long as ``BENCHMARK.json``'s ``run_seconds``, and writes
 ``BENCH_<NAME>.json`` at the root of the repository: per end-to-end metric,
 each side's runs with their median and quartiles, the change in the median,
 the number of pairs the change won, and whether the median moved in the
-better direction by more than the parent's interquartile range.  It adds a
-table of stages (unroll, keygen, signer setup, sync pair, sign, verify,
-a rejected verify, the bias of a fresh theta, hash_to_field, and the layers
-``mat_mul``, ``det``, ``mat_pow`` and the key and signature codecs) at the
-ROADMAP's four parameter sets, timed in a child interpreter per checkout, again
-alternating, in milliseconds and in runs of perfbench's calibration kernel;
-and a table of CLI children (a bare interpreter, ``import nnsig``, ``nnsig
---help``, keygen, a sync pair, sign, verify, params and attack) at
-perfbench's CLI parameter set, timed the same way except that the two
-checkouts take turns on every repeat, so host-speed drift within a pair
-lands on both.  Each stage row also gives the spread of the per-pair ratios
-of the change's median to the parent's.  Standard library only.
+better direction by more than the parent's interquartile range.  It adds
+two tables of stages (``TABLES``): the layer table (unroll, keygen, signer
+setup, a sync pair, sign with a seeded rng and with the system CSPRNG,
+verify, a rejected verify, the bias of a fresh theta, hash_to_field, and the
+layers ``mat_mul``, ``det``, ``mat_pow`` and the key and signature codecs) at
+the ROADMAP's four parameter sets, and the CLI table (a bare interpreter,
+``import nnsig``, ``nnsig --help``, keygen, a sync pair, sign, verify, params
+and attack) at perfbench's CLI parameter set.  Both run one loop: each pair
+runs ``REPEATS`` repeats per checkout, the checkouts taking turns on every
+repeat so host-speed drift within a pair lands on both, and each repeat is
+one child interpreter that times one pass after an untimed warm-up pass, in
+milliseconds and in runs of perfbench's calibration kernel.  Each stage row
+also gives the spread of the per-pair ratios of the change's median to the
+parent's.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import os
@@ -44,40 +47,38 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
-ORDER = ("pair k runs parent first when k is even, change first when k is odd; in the cli "
-         "table, repeat r of pair k runs parent first when k + r is even")
+ORDER = ("workload pair k runs the parent first when k is even, the change first when k is "
+         "odd; table repeat r of pair k runs the parent first when k + r is even")
 QUARTILES = "statistics.quantiles(method='inclusive')"
 
 # (p, n) at rho=10: the parameter sets of the ROADMAP's performance aim.
 LAYER_SETS = ((257, 26), (257, 43), (2**61 - 1, 26), (257, 128))
 LAYER_RHO = 10
-LAYER_REPEATS = 9
 FIRST_SEED = 901
 PAIRS = 10
+REPEATS = 9
 MESSAGES = 16
 CAL_RUNS = 3
-CLI_REPEATS = 9
 
-# Run as ``python -c BOOTSTRAP SRC PERFBENCH TOOLS TABLE REPEATS SETS``: the child
+# Run as ``python -c BOOTSTRAP SRC PERFBENCH TOOLS TABLE SETS``: the child
 # imports nnsig and perfbench from a checkout and this module from this tree's
 # tools/, so both checkouts are timed by the same code.
 BOOTSTRAP = """import json, sys
 sys.path[:0] = sys.argv[1:4]
 import bench_pairs
-bench_pairs.child(getattr(bench_pairs, sys.argv[4]), int(sys.argv[5]), json.loads(sys.argv[6]))"""
+bench_pairs.child(getattr(bench_pairs, sys.argv[4]), json.loads(sys.argv[5]))"""
 
 
-def child(table, repeats: int, sets) -> None:
-    """Run ``table(k, *args)`` for each args of sets in this child interpreter
-    and print {key: {"stages": {stage: [seconds, ...]}, "calibration": [seconds, ...]}},
-    where the table returns (key, {stage: seconds}) for repeat k.
+def child(table, sets) -> None:
+    """For each args of sets, run ``table(0, *args)`` untimed, then
+    ``table(1, *args)`` timed, in this child interpreter, and print
+    {key: {"stages": {stage: seconds}, "calibration": seconds}}, where the
+    table returns (key, {stage: seconds}) for pass k.
 
     The child runs on one CPU, through perfbench/run.py's ``pin_to_one_cpu``.
-    Repeat 0 of each set is an untimed warm-up: the first pass through the
-    set-up path runs slower than the rest, and kept among the samples it
-    widened the quartiles.
-    Calibration is the median time of perfbench's calibration kernel, run
-    CAL_RUNS times before and after a repeat's stages.
+    The warm-up pass is there because the first pass through the set-up path
+    runs slower than the rest.  Calibration is the median time of perfbench's
+    calibration kernel, run CAL_RUNS times before and after the timed pass.
     """
     from harness import calibration_kernel
     from run import pin_to_one_cpu
@@ -94,15 +95,11 @@ def child(table, repeats: int, sets) -> None:
 
     out = {}
     for args in sets:
-        for k in range(repeats + 1):
-            cal = calibrate()
-            key, stages = table(k, *args)
-            cal += calibrate()
-            if k:
-                cell = out.setdefault(key, {"stages": {}, "calibration": []})
-                for stage, seconds in stages.items():
-                    cell["stages"].setdefault(stage, []).append(seconds)
-                cell["calibration"].append(statistics.median(cal))
+        table(0, *args)
+        cal = calibrate()
+        key, stages = table(1, *args)
+        cal += calibrate()
+        out[key] = {"stages": stages, "calibration": statistics.median(cal)}
     print(json.dumps(out))
 
 
@@ -115,23 +112,25 @@ def per_call(fn, args) -> float:
 
 
 def layer_child(k: int, p: int, n: int) -> tuple:
-    """Repeat k of the layer table at (p, n): ("p=..,n=..", {stage: seconds}).
+    """Pass k of the layer table at (p, n): ("p=..,n=..", {stage: seconds}).
 
-    Each repeat builds a fresh key and a fresh SyncConfig, so no squaring
-    table or memo carries over from one repeat to the next.  One untimed sign
-    and verify fill the keys' memos, then sign and verify are timed per
-    message over MESSAGES messages under one theta.  verify_reject, timed
+    Each pass builds a fresh key and a fresh SyncConfig from seed k, so no
+    squaring table or memo carries over from the warm-up pass, and the timed
+    pass builds the same key at every repeat.  One untimed sign and verify
+    fill the keys' memos, then sign, sign_csprng (``sign`` with no rng, so
+    the system CSPRNG draws its randomizers) and verify are timed per message
+    over MESSAGES messages under one theta.  verify_reject, timed
     before theta_switch moves the memo, verifies the same signatures on their
     messages with one byte flipped: the early exit after h0 that every fourth
     sign-verify message of perfbench takes.  theta_switch is the bias of a
     fresh theta (PublicKey.theta_bias, which also packs verify's addend where
     the public key packs it on a miss), per theta over MESSAGES thetas.
     hash_to_field digests the 1 KiB messages.  The layer rows run once on the
-    repeat's key: mat_mul is Wbar_x @ Wbar_theta, det is det(Wbar_x), mat_pow
-    is Wbar_x^(p-2), the largest exponent keygen can draw, so every repeat at
-    a set runs the same products; pk_codec and sig_codec serialize and parse
-    the public key and (per signature) the MESSAGES signatures; signer_setup
-    is mat_inv(Wbar_x).  All call functions every checkout has.
+    pass's key: mat_mul is Wbar_x @ Wbar_theta, det is det(Wbar_x), mat_pow
+    is Wbar_x^(p-2), the largest exponent keygen can draw; pk_codec and
+    sig_codec serialize and parse the public key and (per signature) the
+    MESSAGES signatures; signer_setup is mat_inv(Wbar_x).  All call functions
+    every checkout has.
     """
     import nnsig
     from nnsig.matrix import det, mat_mul, mat_pow
@@ -160,6 +159,7 @@ def layer_child(k: int, p: int, n: int) -> tuple:
     nnsig.verify(pk, theta, b"", nnsig.sign(sk, theta, b"", rng))
     messages = [rng.randbytes(1024) for _ in range(MESSAGES)]
     stages["sign"] = per_call(nnsig.sign, [(sk, theta, m, rng) for m in messages])
+    stages["sign_csprng"] = per_call(nnsig.sign, [(sk, theta, m) for m in messages])
     signed = [(pk, theta, m, nnsig.sign(sk, theta, m, rng)) for m in messages]
     stages["verify"] = per_call(nnsig.verify, signed)
     stages["verify_reject"] = per_call(nnsig.verify, [(pk, theta, bytes([m[0] ^ 1]) + m[1:], sig)
@@ -176,7 +176,7 @@ def layer_child(k: int, p: int, n: int) -> tuple:
 
 
 def cli_child(k: int) -> tuple:
-    """Repeat k of the CLI table at perfbench's CLI_PARAMS: ("p=..,n=..", {row: seconds}).
+    """Pass k of the CLI table at perfbench's CLI_PARAMS: ("p=..,n=..", {row: seconds}).
 
     Each row times one child, as perfbench's cli-session runs them (its
     SubprocessCli, so PYTHONPATH points at the checkout's src and, under this
@@ -216,6 +216,32 @@ def cli_child(k: int) -> tuple:
     if failed:
         raise SystemExit("; ".join(failed))
     return f"p={p},n={n}", {row: run[0] for row, run in runs.items()}
+
+
+LOOP = (f"{PAIRS} pairs of {REPEATS} repeats per checkout, the checkouts taking turns on every "
+        "repeat; each repeat is one child interpreter that times one pass per set after an "
+        "untimed warm-up pass")
+
+# Record key: (child function, its argument sets, what the table times).
+TABLES = {
+    "layers": ("layer_child", LAYER_SETS,
+               f"time of each stage, rho={LAYER_RHO}; {LOOP}. Every timed pass builds the same "
+               "seeded key and SyncConfig (sync pair: two SyncSession.create and run_pair). sign, "
+               "sign_csprng (no rng: the system CSPRNG) and verify: per message, 16 messages of "
+               "1 KiB under one theta, after one untimed sign and verify; verify_reject: verify "
+               "of the same signatures on their messages with one byte flipped; theta_switch: "
+               "the bias of a fresh theta on the public key, per theta over 16 thetas; "
+               "hash_to_field: the digest of each message; signer_setup: mat_inv(Wbar_x); "
+               "mat_mul: Wbar_x @ Wbar_theta; det: det(Wbar_x); mat_pow: Wbar_x^(p-2); "
+               "pk_codec: serialize and parse the public key; sig_codec: serialize and parse a "
+               "signature, per signature over the 16"),
+    "cli": ("cli_child", [[]],
+            "wall time of one python -m nnsig child per row (the sync pair: listener and "
+            f"connector together), run as perfbench's cli-session runs them, under {ENV}; {LOOP}. "
+            "bare: python -c pass; import: python -c 'import nnsig'; help: nnsig --help; keygen: "
+            "keygen --export-shared at perfbench's CLI_PARAMS; sign and verify: a 1 KiB message; "
+            "params: --n 43 --p 257; attack: --n 4 --p 31"),
+}
 
 
 def git(*args, cwd=ROOT, **kwargs) -> subprocess.CompletedProcess:
@@ -273,19 +299,11 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_layers(checkout: Path) -> dict:
-    return run_child(checkout, "layer_child", LAYER_REPEATS, LAYER_SETS)
-
-
-def run_cli(checkout: Path) -> dict:
-    return run_child(checkout, "cli_child", 1, [[]])  # one repeat at perfbench's CLI_PARAMS
-
-
-def run_child(checkout: Path, table: str, repeats: int, sets, timeout=None) -> dict:
-    """``child(table, repeats, sets)`` in a child interpreter on checkout's
-    src and perfbench, killed after timeout seconds if given; returns what it prints."""
+def run_child(checkout: Path, table: str, sets, timeout=None) -> dict:
+    """``child(table, sets)`` in a child interpreter on checkout's src and
+    perfbench, killed after timeout seconds if given; returns what it prints."""
     argv = [sys.executable, "-c", BOOTSTRAP, str(checkout / "src"), str(checkout / "perfbench"),
-            str(ROOT / "tools"), table, str(repeats), json.dumps(sets)]
+            str(ROOT / "tools"), table, json.dumps(sets)]
     proc = subprocess.run(argv, env=run_env(), capture_output=True, text=True, timeout=timeout)
     if proc.returncode != 0:
         raise RuntimeError(proc.stderr[-2000:])
@@ -299,7 +317,7 @@ def spread(runs) -> dict:
 
 UNITS = {"ms": "milliseconds",
          "cal": "runs of perfbench's calibration kernel (harness.calibration_kernel), "
-                "the median of 6 runs around the same repeat",
+                "the median of 6 runs around the same timed pass",
          "pair_ratio": "per pair, the change's median in cal over the parent's median in "
                        "cal; the median and quartiles of those ratios, the ratios themselves, "
                        "and the number of pairs whose ratio is below 1"}
@@ -390,35 +408,36 @@ def main(argv=None) -> int:
         "cpu": cpu_model(),
         "nproc": os.cpu_count(),
         "workloads": workloads,
-        "layers": layer_table(dirs),
-        "cli": cli_table(dirs),
     }
+    for key, (table, sets, what) in TABLES.items():
+        run = functools.partial(run_child, table=table, sets=sets)
+        record[key] = {"what": what, "units": UNITS, "stages": stage_rows(dirs, run, key)}
     out = ROOT / f"BENCH_{args.name}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
 
-def stage_rows(dirs: dict, run, label: str, repeats: int) -> dict:
+def stage_rows(dirs: dict, run, label: str) -> dict:
     """Median, quartiles and change of each stage that ``run(checkout)`` times,
     in milliseconds and in runs of perfbench's calibration kernel timed next to it;
     and the spread of the per-pair ratios of the change's median to the parent's,
     in calibration units, with the number of pairs the change won.  Each pair
-    calls ``run`` ``repeats`` times per side, the sides taking turns on every
-    call (ORDER), and a pair's median runs over all of a side's calls."""
+    calls ``run`` REPEATS times per side, the sides taking turns on every call
+    (ORDER), and a pair's median runs over all of a side's calls."""
     samples = {"parent": {}, "change": {}}
     for k in range(PAIRS):
         pair = {"parent": {}, "change": {}}
-        for r in range(repeats):
+        for r in range(REPEATS):
             for side, checkout in alternate(k + r, *dirs.values()):
                 for key, result in run(checkout).items():
                     for stage, seconds in result["stages"].items():
                         cell = samples[side].setdefault(key, {}).setdefault(
                             stage, {"ms": [], "cal": [], "pair_cal": []})
-                        cal = list(map(operator.truediv, seconds, result["calibration"]))
-                        cell["ms"].extend(1e3 * s for s in seconds)
-                        cell["cal"].extend(cal)
-                        pair[side].setdefault((key, stage), []).extend(cal)
+                        cal = seconds / result["calibration"]
+                        cell["ms"].append(1e3 * seconds)
+                        cell["cal"].append(cal)
+                        pair[side].setdefault((key, stage), []).append(cal)
                 print(f"{label} pair {k} repeat {r} {side} done", file=sys.stderr, flush=True)
         for side, cells in pair.items():
             for (key, stage), cal in cells.items():
@@ -439,42 +458,6 @@ def stage_rows(dirs: dict, run, label: str, repeats: int) -> dict:
             rows[key][stage]["pair_ratio"] = {**spread(ratios),
                                               "change_wins": sum(r < 1 for r in ratios)}
     return rows
-
-
-def layer_table(dirs: dict) -> dict:
-    return {
-        "what": f"time of each stage, rho={LAYER_RHO}, {PAIRS} alternating pairs of one child "
-                f"interpreter per checkout, {LAYER_REPEATS} timed repeats per set after one "
-                "untimed warm-up repeat; every repeat builds a fresh key and SyncConfig (sync "
-                "pair: two SyncSession.create and run_pair, so the squares of W are paid in "
-                "it). sign and verify: per message, 16 messages of 1 KiB under one theta, "
-                "after one untimed sign and verify; theta_switch: the bias of a fresh theta "
-                "on the public key, with verify's packed addend where the key packs it on a "
-                "miss, per theta over 16 thetas; verify_reject: verify of the same "
-                "signatures on their messages with one byte flipped (rejected after h0); "
-                "hash_to_field: the digest of each 1 KiB message; signer_setup is mat_inv(Wbar_x), "
-                "the mat_inv row; mat_mul: Wbar_x @ Wbar_theta; det: det(Wbar_x); mat_pow: "
-                "Wbar_x^(p-2), the largest exponent keygen can draw, the same at every repeat "
-                "of a set; pk_codec: serialize and parse the public key; "
-                "sig_codec: serialize and parse a signature, per signature over the 16",
-        "units": UNITS,
-        "stages": stage_rows(dirs, run_layers, "layers", 1),
-    }
-
-
-def cli_table(dirs: dict) -> dict:
-    return {
-        "what": "wall time of one python -m nnsig child per row (the sync pair: listener and "
-                "connector together), run as perfbench's cli-session runs them, under "
-                f"{ENV}; {PAIRS} pairs of {CLI_REPEATS} repeats per checkout, the checkouts "
-                "taking turns on every repeat, each repeat one driver interpreter that times "
-                "the rows after one untimed warm-up pass. bare: python -c "
-                "pass; import: python -c 'import nnsig'; help: nnsig --help; keygen: keygen "
-                "--export-shared at perfbench's CLI_PARAMS; sign and verify: a 1 KiB message; "
-                "params: --n 43 --p 257; attack: --n 4 --p 31",
-        "units": UNITS,
-        "stages": stage_rows(dirs, run_cli, "cli", CLI_REPEATS),
-    }
 
 
 if __name__ == "__main__":
